@@ -12,8 +12,8 @@
 
 use crate::harness::{f2, measure_cycles, Scale, Table};
 use fesia_core::{
-    batch_count_pairs_on, intersect_count_interleaved_with, intersect_count_pipelined_with,
-    pipeline_params, set_pipeline_params, FesiaParams, KernelTable, PipelineParams, SegmentedSet,
+    batch_count_pairs_on, execute_plan_count, pipeline_params, set_pipeline_params, FesiaParams,
+    IntersectPlan, KernelTable, PipelineParams, SegmentedSet,
 };
 use fesia_datagen::{sorted_distinct, SplitMix64};
 use fesia_exec::Executor;
@@ -157,13 +157,12 @@ pub fn run(scale: Scale) -> String {
     let a = SegmentedSet::build(&sorted_distinct(n, universe, &mut rng), &params).unwrap();
     let b = SegmentedSet::build(&sorted_distinct(n, universe, &mut rng), &params).unwrap();
     let dist = PipelineParams::default().prefetch_distance;
-    let mut scratch = Vec::new();
-    let (inter_c, want1) = measure_cycles(reps * 5, || {
-        intersect_count_interleaved_with(&a, &b, &table)
-    });
-    let (pipe_c, got1) = measure_cycles(reps * 5, || {
-        intersect_count_pipelined_with(&a, &b, &table, &mut scratch, dist)
-    });
+    let plain = IntersectPlan::Plain;
+    let pipelined = IntersectPlan::Pipelined {
+        prefetch_distance: dist,
+    };
+    let (inter_c, want1) = measure_cycles(reps * 5, || execute_plan_count(&a, &b, &table, plain));
+    let (pipe_c, got1) = measure_cycles(reps * 5, || execute_plan_count(&a, &b, &table, pipelined));
     assert_eq!(got1, want1, "single-pair forms disagreed");
 
     let n_big = 1usize << 21; // fixed memory-bound size, decoupled from the knob
@@ -174,10 +173,10 @@ pub fn run(scale: Scale) -> String {
         SegmentedSet::build(&sorted_distinct(n_big, universe_big, &mut rng), &params).unwrap();
     let big_reps = reps.clamp(1, 3);
     let (big_inter_c, big_want) = measure_cycles(big_reps, || {
-        intersect_count_interleaved_with(&big_a, &big_b, &table)
+        execute_plan_count(&big_a, &big_b, &table, plain)
     });
     let (big_pipe_c, big_got) = measure_cycles(big_reps, || {
-        intersect_count_pipelined_with(&big_a, &big_b, &table, &mut scratch, dist)
+        execute_plan_count(&big_a, &big_b, &table, pipelined)
     });
     assert_eq!(
         big_got, big_want,
@@ -209,11 +208,9 @@ pub fn run(scale: Scale) -> String {
         } else {
             reps * 3
         };
-        let (ic, iw) = measure_cycles(sweep_reps, || {
-            intersect_count_interleaved_with(&ca, &cb, &table)
-        });
+        let (ic, iw) = measure_cycles(sweep_reps, || execute_plan_count(&ca, &cb, &table, plain));
         let (pc, pw) = measure_cycles(sweep_reps, || {
-            intersect_count_pipelined_with(&ca, &cb, &table, &mut scratch, dist)
+            execute_plan_count(&ca, &cb, &table, pipelined)
         });
         assert_eq!(pw, iw, "crossover sweep forms disagreed at {sz}");
         let ratio = pc as f64 / ic.max(1) as f64;

@@ -8,7 +8,7 @@
 //! positive verification.
 
 use crate::harness::{f2, mcycles, measure_cycles, Scale, Table};
-use fesia_core::{FesiaParams, KernelTable, LaneWidth, SegmentedSet};
+use fesia_core::{FesiaParams, IntersectPlan, KernelTable, LaneWidth, SegmentedSet};
 use fesia_datagen::{pair_with_intersection, SplitMix64};
 
 /// Full Fig. 14 report.
@@ -40,7 +40,7 @@ pub fn run(scale: Scale) -> String {
             let sa = SegmentedSet::build(&a, &params).unwrap();
             let sb = SegmentedSet::build(&b, &params).unwrap();
             let (_, bd) = measure_cycles(reps, || {
-                fesia_core::intersect_count_breakdown(&sa, &sb, &table)
+                fesia_core::intersect_count_breakdown(&sa, &sb, &table, IntersectPlan::Plain)
             });
             assert_eq!(bd.count, 0, "selectivity-0 workload must count 0");
             t.row(vec![

@@ -1,17 +1,18 @@
 //! Overhead benchmark for the always-on `fesia-obs` metrics layer.
 //!
 //! The instrumentation has no runtime off switch by design, so the
-//! comparison baseline is structural: the counters live only in the
-//! dispatch wrappers (`auto_count_with` / `intersect_count_with` /
-//! `batch_count_pairs_on`), while the inner algorithm functions stay
-//! pure. This experiment runs the production (instrumented) batch path
-//! against an uninstrumented replica that performs the same strategy
-//! selection inline and calls the pure inner functions directly, on the
-//! same executor. The executor's own per-region counters are paid by
-//! both sides (they are amortized over a whole region, not per pair);
-//! what the comparison isolates is the per-pair fast-path cost — the
-//! relaxed `fetch_add`s and the 1-in-64 cycle sampling — which the
-//! acceptance bar holds within 5% of uninstrumented throughput.
+//! comparison baseline is structural: the planner-facing counters live in
+//! the dispatch wrappers (`auto_count_with` / `intersect_count_with` /
+//! `batch_count_pairs_on`), and the plan executor (`execute_plan_count`)
+//! records only its per-plan counters. This experiment runs the
+//! production (instrumented) batch path against a replica that performs
+//! the same strategy selection inline and hands the chosen plan straight
+//! to the executor, on the same executor pool. Both sides pay the pool's
+//! per-region counters (amortized over a whole region, not per pair) and
+//! the executor's per-plan counters with their 1-in-64 cycle sampling;
+//! what the comparison isolates is the per-pair wrapper cost — planning
+//! plus the strategy and batch `fetch_add`s — which the acceptance bar
+//! holds within 5% of the replica's throughput.
 //!
 //! Also reports the raw cost of one counter increment, and writes the
 //! machine-readable results to `BENCH_obs.json`.
@@ -19,8 +20,8 @@
 use crate::harness::{f2, measure_cycles, Scale, Table};
 use fesia_core::intersect::SKEW_HASH_THRESHOLD;
 use fesia_core::{
-    batch_count_pairs_on, hash_probe_count, intersect_count_interleaved_with, pipeline_params,
-    set_pipeline_params, FesiaParams, KernelTable, PipelineParams, SegmentedSet,
+    batch_count_pairs_on, execute_plan_count, hash_probe_count, pipeline_params,
+    set_pipeline_params, FesiaParams, IntersectPlan, KernelTable, PipelineParams, SegmentedSet,
 };
 use fesia_datagen::{sorted_distinct, SplitMix64};
 use fesia_exec::Executor;
@@ -35,8 +36,8 @@ struct DisjointOut(*mut usize);
 unsafe impl Send for DisjointOut {}
 unsafe impl Sync for DisjointOut {}
 
-/// An uninstrumented replica of the batch path: identical strategy
-/// selection and inner kernels, zero per-pair metric updates. Pipelining
+/// A replica of the batch path without its wrapper: identical strategy
+/// selection and kernels, no per-pair wrapper metric updates. Pipelining
 /// must be disabled by the caller so the instrumented side dispatches
 /// interleaved too (apples to apples).
 fn uninstrumented_batch(
@@ -60,7 +61,7 @@ fn uninstrumented_batch(
             } else if (small.len() as f64) < SKEW_HASH_THRESHOLD * large.len() as f64 {
                 hash_probe_count(small.reordered_elements(), large)
             } else {
-                intersect_count_interleaved_with(a, b, table)
+                execute_plan_count(a, b, table, IntersectPlan::Plain)
             };
             // SAFETY: chunk ranges partition 0..pairs.len(), so `k` is
             // in bounds and written by exactly one worker.

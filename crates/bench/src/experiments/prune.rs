@@ -17,9 +17,8 @@
 
 use crate::harness::{f2, measure_cycles, Scale, Table};
 use fesia_core::{
-    intersect_count_breakdown, intersect_count_breakdown_pruned, intersect_count_with,
-    prune_params, set_prune_params, should_prune, FesiaParams, KernelTable, LaneWidth, PruneParams,
-    SegmentedSet,
+    intersect_count_breakdown, intersect_count_with, prune_params, set_prune_params, should_prune,
+    FesiaParams, IntersectPlan, KernelTable, LaneWidth, PruneParams, SegmentedSet,
 };
 use fesia_datagen::{pair_with_intersection, SplitMix64};
 
@@ -47,10 +46,17 @@ pub fn run(scale: Scale) -> String {
     let auto_prunes_sparse = should_prune(&a, &b, &PruneParams::default());
 
     let reps = scale.reps().clamp(1, 3);
-    let (unpruned_c, base) = measure_cycles(reps, || intersect_count_breakdown(&a, &b, &table));
-    let (pruned_c, (pruned, stats)) =
-        measure_cycles(reps, || intersect_count_breakdown_pruned(&a, &b, &table));
+    // Both sweeps run without prefetch, so step 1 differs only in the scan.
+    let plain = IntersectPlan::Plain;
+    let prune = IntersectPlan::Pruned {
+        prefetch_distance: 0,
+    };
+    let (unpruned_c, base) =
+        measure_cycles(reps, || intersect_count_breakdown(&a, &b, &table, plain));
+    let (pruned_c, pruned) =
+        measure_cycles(reps, || intersect_count_breakdown(&a, &b, &table, prune));
     let _ = (unpruned_c, pruned_c); // step-1 cycles come from the breakdowns
+    let stats = pruned.prune.expect("the pruned plan runs the pruned scan");
     let counts_match = base.count == pruned.count && base.count == r;
     let step1_speedup = base.step1_cycles as f64 / pruned.step1_cycles.max(1) as f64;
 

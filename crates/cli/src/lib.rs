@@ -748,8 +748,11 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
-    fn tmpdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("fesia-cli-test-{}", std::process::id()));
+    /// A fresh directory owned by one test: tests run in parallel, so each
+    /// one names its own and removes only that.
+    fn tmpdir(test: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("fesia-cli-test-{}-{test}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -764,7 +767,7 @@ mod tests {
 
     #[test]
     fn end_to_end_build_info_count_intersect() {
-        let dir = tmpdir();
+        let dir = tmpdir("end_to_end_build_info_count_intersect");
         let ta = dir.join("a.txt");
         let tb = dir.join("b.txt");
         std::fs::write(&ta, "1\n4\n15\n21\n32\n34\n").unwrap();
@@ -873,7 +876,7 @@ mod tests {
 
     #[test]
     fn simjoin_end_to_end() {
-        let dir = tmpdir();
+        let dir = tmpdir("simjoin_end_to_end");
         let f = dir.join("sets.txt");
         // Lines 0 and 2 share {1,2,3}; line 1 is disjoint; line 3 shares
         // {2,3} with 0 and 2. Unsorted input on line 2 must be accepted.
@@ -933,7 +936,7 @@ mod tests {
 
     #[test]
     fn build_flags_are_respected() {
-        let dir = tmpdir();
+        let dir = tmpdir("build_flags_are_respected");
         let t = dir.join("v.txt");
         std::fs::write(
             &t,
@@ -991,7 +994,7 @@ mod tests {
 
     #[test]
     fn tune_writes_a_loadable_profile() {
-        let dir = tmpdir();
+        let dir = tmpdir("tune_writes_a_loadable_profile");
         let profile = dir.join("tune-profile.json").to_string_lossy().to_string();
         let mut out = Vec::new();
         run(&s(&["tune", "--quick", "--profile", &profile]), &mut out).unwrap();
@@ -1015,7 +1018,7 @@ mod tests {
 
     #[test]
     fn info_json_reports_tiers_and_histogram() {
-        let dir = tmpdir();
+        let dir = tmpdir("info_json_reports_tiers_and_histogram");
         // A run-heavy set past the container build floor: consecutive
         // values classify as one run range per 65536-value window.
         let t = dir.join("dense.txt");
@@ -1070,7 +1073,7 @@ mod tests {
 
     #[test]
     fn info_reports_the_planner_line() {
-        let dir = tmpdir();
+        let dir = tmpdir("info_reports_the_planner_line");
         let t = dir.join("p.txt");
         std::fs::write(&t, "3\n9\n27\n").unwrap();
         let f = dir.join("p.fsia").to_string_lossy().to_string();
@@ -1085,7 +1088,7 @@ mod tests {
 
     #[test]
     fn decode_errors_surface() {
-        let dir = tmpdir();
+        let dir = tmpdir("decode_errors_surface");
         let bogus = dir.join("bogus.fsia");
         std::fs::write(&bogus, b"not a fesia file").unwrap();
         let mut out = Vec::new();
@@ -1097,7 +1100,7 @@ mod tests {
     #[cfg(feature = "serve")]
     #[test]
     fn serve_runs_a_scripted_session() {
-        let dir = tmpdir();
+        let dir = tmpdir("serve_runs_a_scripted_session");
         let script = dir.join("session.txt");
         std::fs::write(
             &script,

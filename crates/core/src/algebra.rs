@@ -3,20 +3,23 @@
 //!
 //! Every operation asks [`IntersectPlanner::plan_materialize`] for an
 //! explicit plan — the same cost model the count path uses, extended
-//! with an output-size term — and executes it through the visitor
-//! kernels of [`crate::kernels::visit`], so counting, materializing, and
-//! callback consumers share one body per operation.
+//! with an output-size term — and runs it through the same plan engine
+//! as the count path, with a materializing sink that feeds each surviving
+//! segment pair to the visitor kernels of [`crate::kernels::visit`], so
+//! counting, materializing, and callback consumers share one body per
+//! operation.
 //!
 //! ## Soundness of the step-1 scans
 //!
 //! Intersection lanes must be non-zero on *both* sides, so it scans with
-//! [`MaskOp::And`] exactly like the count path. The other three ops scan
-//! with [`MaskOp::Or`]: an element of the output can live in any segment
-//! that is non-empty on either side, and a bitmap-level ANDNOT or XOR
-//! would be unsound — two distinct elements (one per side) can hash to
-//! the same bit position, zeroing the lane difference while the
-//! element-level difference is non-empty. Visiting the Or-superset is
-//! harmless: a segment pair with nothing to emit emits nothing.
+//! [`MaskOp::And`](fesia_simd::mask::MaskOp::And) exactly like the count
+//! path. The other three ops scan with `MaskOp::Or`: an element of the
+//! output can live in any segment that is non-empty on either side, and a
+//! bitmap-level ANDNOT or XOR would be unsound — two distinct elements
+//! (one per side) can hash to the same bit position, zeroing the lane
+//! difference while the element-level difference is non-empty. Visiting
+//! the Or-superset is harmless: a segment pair with nothing to emit emits
+//! nothing.
 //!
 //! ## Folded bitmaps
 //!
@@ -30,23 +33,17 @@
 //! [`SegmentedSet::contains`] probes, because one small segment folds
 //! under many large segments and cannot be swept pairwise.
 
-use crate::kernels::visit::{
-    difference_visit, intersect_visit, segment_op_visit, CountVisitor, EmitVisitor, SegmentVisitor,
-    SetOp,
+use crate::intersect::{
+    check_compatible, default_table, route, sweep, PairSink, Route, Sides, Sweep,
 };
+use crate::kernels::visit::{segment_op_visit, CountVisitor, EmitVisitor, SegmentVisitor, SetOp};
 use crate::plan::{IntersectPlan, IntersectPlanner, PlanMode, SetSummary};
 use crate::set::SegmentedSet;
-use fesia_simd::mask::{
-    for_each_nonzero_lane_folded_op, for_each_nonzero_lane_folded_pruned, for_each_nonzero_lane_op,
-    for_each_nonzero_lane_pruned, MaskOp,
-};
 use fesia_simd::SimdLevel;
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 
 thread_local! {
-    /// Per-thread survivor buffer for the buffered (pipelined) sweeps.
-    static SURVIVOR_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-
     /// Per-thread sorted copies for the galloping fallback (one per side).
     static SORT_SCRATCH: RefCell<(Vec<u32>, Vec<u32>)> = const {
         RefCell::new((Vec::new(), Vec::new()))
@@ -146,11 +143,12 @@ fn plan_and_record(
 /// feeding every output element (in segment order, unsorted) to `v`.
 ///
 /// Every plan form is handled for every op, so forced `FESIA_PLAN` modes
-/// work uniformly: the AND-only step-1 forms (pruned, compressed) degrade
-/// to the buffered Or-scan for the non-intersect ops, and the compressed
-/// plan's step 2 reads the raw segment runs (which every set retains —
-/// the packed tier stores hash-domain residuals that cannot be emitted
-/// as element values).
+/// work uniformly. The plan engine resolves what cannot run and records
+/// what did: the AND-only pruned scan runs as the buffered Or-scan for
+/// the non-intersect ops, and the compressed plan runs as the pipelined
+/// sweep over the raw segment runs (which every set retains — the packed
+/// tier stores hash-domain residuals that cannot be emitted as element
+/// values).
 pub fn execute_plan_op<V: SegmentVisitor>(
     a: &SegmentedSet,
     b: &SegmentedSet,
@@ -158,247 +156,89 @@ pub fn execute_plan_op<V: SegmentVisitor>(
     plan: IntersectPlan,
     v: &mut V,
 ) {
-    crate::intersect::check_compatible(a, b);
-    let m = fesia_obs::metrics();
-    match plan {
-        IntersectPlan::Plain => {
-            m.plan_plain.inc();
-            scan_materialize(a, b, op, None, v);
+    check_compatible(a, b);
+    let level = default_table().level();
+    match route(a, b, plan, op.scan_op(), false) {
+        Route::Sweep(shape) => sweep_op(a, b, op, shape, v),
+        // Sound for every op — the directory's word bitmaps are exact
+        // value-domain bitmaps, not hashed filters.
+        Route::Containers(ca, cb) => {
+            fesia_obs::metrics().intersect_container.inc();
+            crate::container::op_visit(op, ca, cb, level, v);
         }
-        IntersectPlan::Pipelined { prefetch_distance } => {
-            m.plan_pipelined.inc();
-            scan_materialize(a, b, op, Some((prefetch_distance, false)), v);
-        }
-        IntersectPlan::Pruned { prefetch_distance } => {
-            m.plan_pruned.inc();
-            scan_materialize(
-                a,
-                b,
-                op,
-                Some((prefetch_distance, op == SetOp::Intersect)),
-                v,
-            );
-        }
-        IntersectPlan::Compressed { prefetch_distance } => {
-            m.plan_compressed.inc();
-            scan_materialize(a, b, op, Some((prefetch_distance, false)), v);
-        }
-        IntersectPlan::Container => {
-            m.plan_container.inc();
-            // Sound for every op — the directory's word bitmaps are exact
-            // value-domain bitmaps, not hashed filters. Directory-less
-            // sets fall back to the plain scan rather than failing.
-            match (a.container(), b.container()) {
-                (Some(ca), Some(cb)) => {
-                    m.intersect_container.inc();
-                    let level = crate::intersect::default_table().level();
-                    crate::container::op_visit(op, ca, cb, level, v);
-                }
-                _ => scan_materialize(a, b, op, None, v),
-            }
-        }
-        IntersectPlan::HashProbe => {
-            probe_materialize(a, b, op, v);
-        }
-        IntersectPlan::GallopFallback => {
-            m.plan_gallop.inc();
-            gallop_materialize(a, b, op, v);
-        }
+        Route::Probe => probe_materialize(a, b, op, v),
+        Route::Gallop => gallop_materialize(a, b, op, v),
     }
 }
 
-/// The two-phase scan execution: step 1 is the op's sound bitmap scan
-/// (AND for intersection, OR otherwise), step 2 sweeps each visited
-/// segment pair through the op's visitor kernel. `buffered` carries the
-/// pipelined form's `(prefetch_distance, pruned)` — pruning only ever
-/// arrives combined with `op == Intersect` (the planner and executor
-/// degrade it otherwise).
-fn scan_materialize<V: SegmentVisitor>(
+/// The materializing sink: each surviving segment pair through the
+/// visitor body of `op`.
+struct Materialize<'v, V> {
+    op: SetOp,
+    v: &'v mut V,
+}
+
+impl<V: SegmentVisitor> PairSink for Materialize<'_, V> {
+    #[inline(always)]
+    fn prefetch(&self, s: Sides, i: usize, j: usize) {
+        s.x.prefetch_seg_entry(i);
+        s.y.prefetch_seg_entry(j);
+    }
+
+    #[inline]
+    fn pair<const FOLDED: bool>(&mut self, s: Sides, i: usize, j: usize) -> ControlFlow<()> {
+        let (xs, ys) = (s.x.segment(i), s.y.segment(j));
+        segment_op_visit(s.t.level(), self.op, xs, ys, self.v);
+        ControlFlow::Continue(())
+    }
+}
+
+/// The merge-family execution. Equal bitmaps sweep pairwise under the
+/// op's own body; folded bitmaps sweep large-driven where that is exact
+/// and probe the small-side residuals (see the module docs).
+fn sweep_op<V: SegmentVisitor>(
     a: &SegmentedSet,
     b: &SegmentedSet,
     op: SetOp,
-    buffered: Option<(usize, bool)>,
+    shape: Sweep,
     v: &mut V,
 ) {
-    let level = crate::intersect::default_table().level();
-    let m = fesia_obs::metrics();
+    let s = Sides::of(default_table(), a, b);
+    let (x, y) = (s.x, s.y);
+    // `op`'s Or-scan is the sound scan for the difference body too.
+    let run = |op: SetOp, v: &mut V| {
+        sweep(s, shape, &mut Materialize { op, v });
+    };
     if a.bitmap_bits() == b.bitmap_bits() {
-        let scan = op.scan_op();
-        match buffered {
-            None => {
-                for_each_nonzero_lane_op(
-                    level,
-                    scan,
-                    a.lane(),
-                    a.bitmap_bytes(),
-                    b.bitmap_bytes(),
-                    |i| segment_op_visit(level, op, a.segment(i), b.segment(i), v),
-                );
-            }
-            Some((dist, pruned)) => SURVIVOR_SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                if scratch.capacity() != 0 {
-                    m.scratch_reused.inc();
-                }
-                scratch.clear();
-                if pruned {
-                    let stats = for_each_nonzero_lane_pruned(
-                        level,
-                        a.lane(),
-                        a.bitmap_bytes(),
-                        b.bitmap_bytes(),
-                        a.summary_words(),
-                        b.summary_words(),
-                        |i| scratch.push(i as u32),
-                    );
-                    m.summary_blocks_skipped.add(stats.skipped() as u64);
-                } else {
-                    for_each_nonzero_lane_op(
-                        level,
-                        scan,
-                        a.lane(),
-                        a.bitmap_bytes(),
-                        b.bitmap_bytes(),
-                        |i| scratch.push(i as u32),
-                    );
-                }
-                m.survivor_segments.add(scratch.len() as u64);
-                for (k, &i) in scratch.iter().enumerate() {
-                    if k + dist < scratch.len() {
-                        let ahead = scratch[k + dist] as usize;
-                        a.prefetch_seg_entry(ahead);
-                        b.prefetch_seg_entry(ahead);
-                    }
-                    let i = i as usize;
-                    segment_op_visit(level, op, a.segment(i), b.segment(i), v);
-                }
-            }),
+        return run(op, v);
+    }
+    match op {
+        SetOp::Intersect => run(op, v),
+        // One small segment folds under many large segments, so the
+        // pairwise sweep would emit small-side elements repeatedly.
+        // Instead: every large-side element verbatim, plus the small-side
+        // residual by membership probe.
+        SetOp::Union => {
+            v.visit_run(x.reordered_elements());
+            probe_residual(y, x, v);
         }
-    } else {
-        folded_materialize(a, b, op, buffered, v);
+        // A\B with A large is pairwise-exact.
+        SetOp::Difference if std::ptr::eq(a, x) => run(op, v),
+        SetOp::Difference => probe_residual(a, b, v),
+        // large\small is pairwise-exact; small\large by probe. The two
+        // parts are disjoint, so no dedup is needed.
+        SetOp::Xor => {
+            run(SetOp::Difference, v);
+            probe_residual(y, x, v);
+        }
     }
 }
 
-/// The asymmetric (folded-bitmap) execution, per op — see the module docs
-/// for why each side is driven the way it is.
-fn folded_materialize<V: SegmentVisitor>(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    op: SetOp,
-    buffered: Option<(usize, bool)>,
-    v: &mut V,
-) {
-    let level = crate::intersect::default_table().level();
-    let m = fesia_obs::metrics();
-    let (large, small) = if a.bitmap_bits() > b.bitmap_bits() {
-        (a, b)
-    } else {
-        (b, a)
-    };
-    let seg_mask = small.num_segments() - 1;
-
-    // Large-driven per-segment sweep with the given scan op; exact for
-    // And (intersection) and for the large side of a difference/xor.
-    type SweepBody<'f, V> = &'f dyn Fn(&[u32], &[u32], &mut V);
-    let sweep = |scan: MaskOp, pruned: bool, v: &mut V, body: SweepBody<V>| match buffered {
-        None => {
-            for_each_nonzero_lane_folded_op(
-                level,
-                scan,
-                large.lane(),
-                large.bitmap_bytes(),
-                small.bitmap_bytes(),
-                |i| body(large.segment(i), small.segment(i & seg_mask), v),
-            );
-        }
-        Some((dist, _)) => SURVIVOR_SCRATCH.with(|s| {
-            let mut scratch = s.borrow_mut();
-            if scratch.capacity() != 0 {
-                m.scratch_reused.inc();
-            }
-            scratch.clear();
-            if pruned {
-                let stats = for_each_nonzero_lane_folded_pruned(
-                    level,
-                    large.lane(),
-                    large.bitmap_bytes(),
-                    small.bitmap_bytes(),
-                    large.summary_words(),
-                    small.summary_words(),
-                    |i| scratch.push(i as u32),
-                );
-                m.summary_blocks_skipped.add(stats.skipped() as u64);
-            } else {
-                for_each_nonzero_lane_folded_op(
-                    level,
-                    scan,
-                    large.lane(),
-                    large.bitmap_bytes(),
-                    small.bitmap_bytes(),
-                    |i| scratch.push(i as u32),
-                );
-            }
-            m.survivor_segments.add(scratch.len() as u64);
-            for (k, &i) in scratch.iter().enumerate() {
-                if k + dist < scratch.len() {
-                    let ahead = scratch[k + dist] as usize;
-                    large.prefetch_seg_entry(ahead);
-                    small.prefetch_seg_entry(ahead & seg_mask);
-                }
-                let i = i as usize;
-                body(large.segment(i), small.segment(i & seg_mask), v);
-            }
-        }),
-    };
-
-    match op {
-        SetOp::Intersect => {
-            let pruned = buffered.is_some_and(|(_, p)| p);
-            sweep(MaskOp::And, pruned, v, &|ls, ss, v| {
-                intersect_visit(level, ls, ss, v)
-            });
-        }
-        SetOp::Union => {
-            // One small segment folds under many large segments, so the
-            // pairwise sweep would emit small-side elements repeatedly.
-            // Instead: every large-side element verbatim, plus the
-            // small-side residual by membership probe.
-            v.visit_run(large.reordered_elements());
-            for &x in small.reordered_elements() {
-                if !large.contains(x) {
-                    v.visit(x);
-                }
-            }
-        }
-        SetOp::Difference => {
-            if std::ptr::eq(a, large) {
-                // A\B with A large: segment i of A meets exactly segment
-                // i & mask of B (folding keeps hash positions congruent),
-                // so the pairwise difference is exact.
-                sweep(MaskOp::Or, false, v, &|ls, ss, v| {
-                    difference_visit(ls, ss, v)
-                });
-            } else {
-                // A small: its segments fold under many B segments, so
-                // probe element-wise.
-                for &x in a.reordered_elements() {
-                    if !b.contains(x) {
-                        v.visit(x);
-                    }
-                }
-            }
-        }
-        SetOp::Xor => {
-            // large\small is pairwise-exact; small\large by probe. The
-            // two parts are disjoint, so no dedup is needed.
-            sweep(MaskOp::Or, false, v, &|ls, ss, v| {
-                difference_visit(ls, ss, v)
-            });
-            for &x in small.reordered_elements() {
-                if !large.contains(x) {
-                    v.visit(x);
-                }
-            }
+/// Emit the elements of `from` that `other` does not contain.
+fn probe_residual<V: SegmentVisitor>(from: &SegmentedSet, other: &SegmentedSet, v: &mut V) {
+    for &x in from.reordered_elements() {
+        if !other.contains(x) {
+            v.visit(x);
         }
     }
 }
@@ -408,10 +248,9 @@ fn folded_materialize<V: SegmentVisitor>(
 /// bitmap-size combination.
 fn probe_materialize<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: SetOp, v: &mut V) {
     let m = fesia_obs::metrics();
-    m.plan_hash.inc();
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     match op {
         SetOp::Intersect => {
-            let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
             m.hash_probe_elements.add(small.len() as u64);
             for &x in small.reordered_elements() {
                 if large.contains(x) {
@@ -420,35 +259,18 @@ fn probe_materialize<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: 
             }
         }
         SetOp::Union => {
-            let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
             m.hash_probe_elements.add(small.len() as u64);
             v.visit_run(large.reordered_elements());
-            for &x in small.reordered_elements() {
-                if !large.contains(x) {
-                    v.visit(x);
-                }
-            }
+            probe_residual(small, large, v);
         }
         SetOp::Difference => {
             m.hash_probe_elements.add(a.len() as u64);
-            for &x in a.reordered_elements() {
-                if !b.contains(x) {
-                    v.visit(x);
-                }
-            }
+            probe_residual(a, b, v);
         }
         SetOp::Xor => {
             m.hash_probe_elements.add((a.len() + b.len()) as u64);
-            for &x in a.reordered_elements() {
-                if !b.contains(x) {
-                    v.visit(x);
-                }
-            }
-            for &x in b.reordered_elements() {
-                if !a.contains(x) {
-                    v.visit(x);
-                }
-            }
+            probe_residual(a, b, v);
+            probe_residual(b, a, v);
         }
     }
 }

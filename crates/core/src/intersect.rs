@@ -1,21 +1,21 @@
 //! The two-phase online intersection (paper §III-C, Algorithm 1) and the
 //! strategy selection for skewed inputs (§VI).
 
+use crate::container::ContainerTier;
 use crate::kernels::{KernelTable, UnpackJob, OVERREAD};
 use crate::params::{CompressParams, ContainerParams, PipelineParams, PruneParams};
 use crate::plan::{IntersectPlan, IntersectPlanner, PlanMode, SetSummary, ThresholdPlan};
 use crate::set::SegmentedSet;
 use fesia_simd::mask::{
-    for_each_nonzero_lane, for_each_nonzero_lane_folded, for_each_nonzero_lane_folded_pruned,
-    for_each_nonzero_lane_pruned, summary_min_bound, LaneWidth, PruneStats,
+    for_each_nonzero_lane_folded_op, for_each_nonzero_lane_folded_pruned, for_each_nonzero_lane_op,
+    for_each_nonzero_lane_pruned, summary_min_bound, MaskOp, PruneStats,
 };
 use fesia_simd::prefetch::prefetch_read;
 use fesia_simd::timer::CycleTimer;
-use fesia_simd::SimdLevel;
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
 /// The process-wide default kernel table (widest ISA, full table).
 pub(crate) fn default_table() -> &'static KernelTable {
     static TABLE: OnceLock<KernelTable> = OnceLock::new();
@@ -173,9 +173,9 @@ pub fn set_container_params(p: ContainerParams) {
 }
 
 thread_local! {
-    /// Per-thread survivor buffer reused across every pipelined or pruned
-    /// intersection this thread runs — the batch layer gets cross-pair
-    /// reuse for free because a pool worker keeps its thread alive.
+    /// Per-thread survivor buffer reused by every buffered sweep this
+    /// thread runs — the batch layer gets cross-pair reuse for free
+    /// because a pool worker keeps its thread alive.
     static PIPELINE_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 
     /// Per-thread decode destinations for the compressed step 2, one per
@@ -190,6 +190,12 @@ thread_local! {
             DecodeScratch::new(u32::MAX - 1),
         ))
     };
+
+    /// Reusable sorted-probe target for the galloping fallback: the
+    /// smaller side's elements, sorted. Allocated once per thread and
+    /// grown to the largest small side seen, so steady-state calls
+    /// allocate nothing.
+    static GALLOP_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// One side's decode destination: a buffer whose tail past the last
@@ -237,544 +243,382 @@ pub(crate) fn check_compatible(a: &SegmentedSet, b: &SegmentedSet) {
     );
 }
 
-/// |A ∩ B| via FESIA's two-phase algorithm with an explicit kernel table.
-///
-/// Phase 1 ANDs the bitmaps at `table.level()` width and extracts non-zero
-/// segments; phase 2 dispatches each surviving segment pair to a
-/// specialized kernel. Bitmaps of different sizes fold onto one another
-/// (segment `i` of the larger pairs with `i mod N2` of the smaller).
-///
-/// Whether the two phases run interleaved (kernel dispatched the moment a
-/// survivor is found) or pipelined (survivors buffered with software
-/// prefetch, then swept) is governed by the process-wide
-/// [`pipeline_params`] knob: pipelined when enabled *and* the combined
-/// input size reaches `min_elements` (below that the data is
-/// cache-resident and prefetch hints only cost issue slots). When the
-/// pair is large and sparse enough for [`crate::tuning::should_prune`]
-/// (under the process-wide [`prune_params`]), phase 1 instead runs the
-/// summary-pruned scan ([`intersect_count_pruned_with`]), skipping
-/// full-bitmap blocks whose summary bits do not overlap. All forms count
-/// identically.
-pub fn intersect_count_with(a: &SegmentedSet, b: &SegmentedSet, table: &KernelTable) -> usize {
-    let planner = IntersectPlanner::current();
-    intersect_count_planned(a, b, table, &planner)
+// ---------------------------------------------------------------------------
+// The plan engine. Every `IntersectPlan` resolves once, in `route`, to what
+// actually runs; every merge-family shape runs through `sweep`, which is
+// Algorithm 1 written once: step 1 scans the bitmaps, step 2 hands each
+// surviving segment pair to a `PairSink`. The sinks are `Count` (the
+// specialised kernels over raw or packed segments), `Bounded` (threshold
+// early exit) and the materializing sink in `crate::algebra`.
+// ---------------------------------------------------------------------------
+
+/// How a merge-family plan runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sweep {
+    /// Step-1 bitmap combiner: `And` for intersection, `Or` for the other
+    /// set operations.
+    pub(crate) scan: MaskOp,
+    /// Step 1 ANDs the block summaries first (sound only under `And`).
+    pub(crate) pruned: bool,
+    /// `Some(prefetch_distance)`: buffer the survivors, then sweep them
+    /// with lookahead prefetch. `None`: run each survivor's step 2 the
+    /// moment step 1 finds it.
+    pub(crate) buffered: Option<usize>,
+    /// Step 2 decodes the packed tiers (counting sinks only).
+    pub(crate) packed: bool,
+    /// Split the cycle count at the step-1/step-2 boundary (buffered only).
+    pub(crate) timed: bool,
 }
 
-/// [`intersect_count_with`] against an explicit planner snapshot. The
-/// batch, parallel, index, and graph layers take one
-/// [`IntersectPlanner::current`] snapshot per run and reuse it for every
-/// pair, so the per-pair decision is a handful of compares with no
-/// atomic loads.
-///
-/// Merge-family contract: only the plain / pipelined / pruned forms are
-/// considered (the caller has already committed to the two-phase
-/// algorithm); a planner forced to hash or gallop falls back to auto
-/// selection here.
-pub fn intersect_count_planned(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    planner: &IntersectPlanner,
-) -> usize {
-    if matches!(
-        planner.mode,
-        PlanMode::Plain | PlanMode::Pipelined | PlanMode::Pruned
-    ) {
-        fesia_obs::metrics().plan_forced.inc();
-    }
-    let plan = planner.plan_merge(&SetSummary::of(a), &SetSummary::of(b));
-    execute_plan_count(a, b, table, plan)
+/// What a plan runs once [`route`] has resolved its fallbacks.
+pub(crate) enum Route<'s> {
+    /// A merge-family sweep.
+    Sweep(Sweep),
+    /// The per-range container word kernels.
+    Containers(&'s ContainerTier, &'s ContainerTier),
+    /// Element-wise membership probes (`FESIAhash`).
+    Probe,
+    /// The galloping sorted-merge fallback.
+    Gallop,
 }
 
-/// Execute an explicit [`IntersectPlan`] on a pair, recording the same
-/// per-form metrics the adaptive dispatcher always recorded plus the
-/// `plan_*` decision counters. All plans return the identical count.
-pub fn execute_plan_count(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
+/// Resolve `plan` for a sink whose step 1 scans with `scan` (`decode`:
+/// the sink can count decoded packed segments), and record in the
+/// `plan_*` counters the plan that will actually run. Plans a pair cannot
+/// run degrade: `Pruned` under an `Or` scan, and `Compressed` without
+/// packed tiers or for a sink that emits values (the packed tier stores
+/// hash residuals), run `Pipelined`; `Container` without directories runs
+/// `Plain`.
+pub(crate) fn route<'s>(
+    a: &'s SegmentedSet,
+    b: &'s SegmentedSet,
     plan: IntersectPlan,
-) -> usize {
+    scan: MaskOp,
+    decode: bool,
+) -> Route<'s> {
     let m = fesia_obs::metrics();
+    let sweep = |pruned, buffered, packed| {
+        Route::Sweep(Sweep {
+            scan,
+            pruned,
+            buffered,
+            packed,
+            timed: false,
+        })
+    };
     match plan {
-        IntersectPlan::Pruned { prefetch_distance } => {
-            m.plan_pruned.inc();
-            PIPELINE_SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                if scratch.capacity() != 0 {
-                    m.scratch_reused.inc();
-                }
-                let sampled = m.intersect_pruned.inc() & fesia_obs::SAMPLE_MASK == 0;
-                let timer = sampled.then(CycleTimer::start);
-                let (n, stats) =
-                    intersect_count_pruned_with(a, b, table, &mut scratch, prefetch_distance);
-                m.survivor_segments.add(scratch.len() as u64);
-                m.summary_blocks_skipped.add(stats.skipped() as u64);
-                if let Some(t) = timer {
-                    m.intersect_cycles.record(t.elapsed_cycles());
-                }
-                n
-            })
-        }
-        IntersectPlan::Pipelined { prefetch_distance } => {
-            m.plan_pipelined.inc();
-            PIPELINE_SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                if scratch.capacity() != 0 {
-                    m.scratch_reused.inc();
-                }
-                let sampled = m.intersect_pipelined.inc() & fesia_obs::SAMPLE_MASK == 0;
-                let timer = sampled.then(CycleTimer::start);
-                let n =
-                    intersect_count_pipelined_with(a, b, table, &mut scratch, prefetch_distance);
-                m.survivor_segments.add(scratch.len() as u64);
-                if let Some(t) = timer {
-                    m.intersect_cycles.record(t.elapsed_cycles());
-                }
-                n
-            })
-        }
-        IntersectPlan::Compressed { prefetch_distance } => {
-            m.plan_compressed.inc();
-            // The planner only picks this plan when both sides report a
-            // packed tier; an explicit plan on tier-less sets falls back
-            // to the interleaved form rather than failing.
-            if a.packed().is_none() || b.packed().is_none() {
-                return intersect_count_interleaved_with(a, b, table);
-            }
-            PIPELINE_SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                if scratch.capacity() != 0 {
-                    m.scratch_reused.inc();
-                }
-                let sampled = m.intersect_compressed.inc() & fesia_obs::SAMPLE_MASK == 0;
-                let timer = sampled.then(CycleTimer::start);
-                let (n, stats) =
-                    intersect_count_compressed_with(a, b, table, &mut scratch, prefetch_distance);
-                m.survivor_segments.add(scratch.len() as u64);
-                m.compressed_segments_decoded.add(stats.segments_decoded);
-                m.compressed_bytes_saved.add(stats.bytes_saved);
-                if let Some(t) = timer {
-                    m.intersect_cycles.record(t.elapsed_cycles());
-                }
-                n
-            })
-        }
-        IntersectPlan::Container => {
-            m.plan_container.inc();
-            // The planner only picks this plan when both sides report a
-            // container directory; an explicit plan on directory-less
-            // sets falls back to the interleaved form rather than
-            // failing.
-            let (Some(ca), Some(cb)) = (a.container(), b.container()) else {
-                return intersect_count_interleaved_with(a, b, table);
-            };
-            let sampled = m.intersect_container.inc() & fesia_obs::SAMPLE_MASK == 0;
-            let timer = sampled.then(CycleTimer::start);
-            let n = crate::container::intersect_count(ca, cb, table.level());
-            if let Some(t) = timer {
-                m.intersect_cycles.record(t.elapsed_cycles());
-            }
-            n
-        }
         IntersectPlan::Plain => {
             m.plan_plain.inc();
-            let sampled = m.intersect_interleaved.inc() & fesia_obs::SAMPLE_MASK == 0;
-            let timer = sampled.then(CycleTimer::start);
-            let n = intersect_count_interleaved_with(a, b, table);
-            if let Some(t) = timer {
-                m.intersect_cycles.record(t.elapsed_cycles());
-            }
-            n
+            sweep(false, None, false)
         }
+        IntersectPlan::Pruned { prefetch_distance } if scan == MaskOp::And => {
+            m.plan_pruned.inc();
+            sweep(true, Some(prefetch_distance), false)
+        }
+        IntersectPlan::Compressed { prefetch_distance }
+            if decode && a.packed().is_some() && b.packed().is_some() =>
+        {
+            m.plan_compressed.inc();
+            sweep(false, Some(prefetch_distance), true)
+        }
+        IntersectPlan::Pipelined { prefetch_distance }
+        | IntersectPlan::Pruned { prefetch_distance }
+        | IntersectPlan::Compressed { prefetch_distance } => {
+            m.plan_pipelined.inc();
+            sweep(false, Some(prefetch_distance), false)
+        }
+        IntersectPlan::Container => match (a.container(), b.container()) {
+            (Some(ca), Some(cb)) => {
+                m.plan_container.inc();
+                Route::Containers(ca, cb)
+            }
+            _ => {
+                m.plan_plain.inc();
+                sweep(false, None, false)
+            }
+        },
         IntersectPlan::HashProbe => {
             m.plan_hash.inc();
-            let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-            m.hash_probe_elements.add(small.len() as u64);
-            hash_probe_count(small.reordered_elements(), large)
+            Route::Probe
         }
         IntersectPlan::GallopFallback => {
             m.plan_gallop.inc();
-            gallop_count(a, b)
+            Route::Gallop
         }
     }
 }
 
-/// [`intersect_count_with`] in the interleaved form: each surviving
-/// segment's kernel is dispatched the instant phase 1 finds it. This is
-/// the seed's fused loop; its phase-2 loads are dependent loads issued
-/// with no lookahead, which is what the pipelined form overlaps.
-pub fn intersect_count_interleaved_with(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-) -> usize {
-    check_compatible(a, b);
-    let level = table.level();
-    let lane = a.lane();
-    let mut count = 0u64;
-    if a.bitmap_bits() == b.bitmap_bits() {
-        for_each_nonzero_lane(level, lane, a.bitmap_bytes(), b.bitmap_bytes(), |i| {
-            // SAFETY: segment pointers carry PAD_LEN over-read slack and the
-            // segmented layout upholds the kernel over-read contract.
-            count +=
-                unsafe { table.count(a.seg_ptr(i), a.seg_size(i), b.seg_ptr(i), b.seg_size(i)) }
-                    as u64;
-        });
-    } else {
-        let (large, small) = if a.bitmap_bits() > b.bitmap_bits() {
+/// The table and the two sets a sweep runs over, `x` the larger bitmap
+/// ([`Sides::of`]). The engine hands it to every sink hook instead of
+/// letting sinks hold it: built from the sweep's own shared-reference
+/// arguments, its fields stay in registers across the opaque kernel calls.
+#[derive(Clone, Copy)]
+pub(crate) struct Sides<'s> {
+    pub(crate) t: &'s KernelTable,
+    pub(crate) x: &'s SegmentedSet,
+    pub(crate) y: &'s SegmentedSet,
+}
+
+impl<'s> Sides<'s> {
+    /// Check that `(a, b)` can be intersected and order them for the
+    /// engine: `x` is the larger-bitmap side, or `a` when the bitmaps are
+    /// equal.
+    pub(crate) fn of(t: &'s KernelTable, a: &'s SegmentedSet, b: &'s SegmentedSet) -> Sides<'s> {
+        check_compatible(a, b);
+        let (x, y) = if a.bitmap_bits() >= b.bitmap_bits() {
             (a, b)
         } else {
             (b, a)
         };
-        let seg_mask = small.num_segments() - 1;
-        for_each_nonzero_lane_folded(
-            level,
-            lane,
-            large.bitmap_bytes(),
-            small.bitmap_bytes(),
-            |i| {
-                let j = i & seg_mask;
-                // SAFETY: as above. The folded dispatch keeps the contract:
-                // it never block-loads the large side (whose over-read may
-                // span a whole period of the small bitmap), and small-side
-                // over-read elements belong to different folded segments.
-                count += unsafe {
-                    table.count_folded(
-                        large.seg_ptr(i),
-                        large.seg_size(i),
-                        small.seg_ptr(j),
-                        small.seg_size(j),
-                    )
-                } as u64;
-            },
-        );
-    }
-    count as usize
-}
-
-/// [`intersect_count_with`] in the pipelined form, with an explicit
-/// survivor buffer the caller can reuse across pairs.
-///
-/// Phase 1 scans the bitmaps and pushes each surviving segment index into
-/// `scratch`, prefetching segment data for the first `prefetch_distance`
-/// survivors only — the window phase 2 touches before its own lookahead
-/// takes over. (Prefetching *every* survivor at push time costs two
-/// instructions per side per survivor and the lines are evicted again
-/// before a long sweep reaches them.) Phase 2 then sweeps the buffer with
-/// straight-line kernel dispatch, keeping both sides' segment data
-/// `prefetch_distance` entries ahead in flight, so the kernels' dependent
-/// loads overlap with compute instead of serializing on cache misses.
-///
-/// Counts are always identical to [`intersect_count_interleaved_with`].
-pub fn intersect_count_pipelined_with(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    scratch: &mut Vec<u32>,
-    prefetch_distance: usize,
-) -> usize {
-    check_compatible(a, b);
-    let level = table.level();
-    let lane = a.lane();
-    scratch.clear();
-    let mut count = 0u64;
-    if a.bitmap_bits() == b.bitmap_bits() {
-        for_each_nonzero_lane(level, lane, a.bitmap_bytes(), b.bitmap_bytes(), |i| {
-            if scratch.len() < prefetch_distance {
-                prefetch_read(a.seg_ptr(i));
-                prefetch_read(b.seg_ptr(i));
-            }
-            scratch.push(i as u32);
-        });
-        // Steady state: the lookahead index is in bounds, so the window
-        // check stays out of the loop. The tail runs with no prefetch —
-        // its lines are already in flight.
-        let steady = if prefetch_distance == 0 {
-            0
-        } else {
-            scratch.len().saturating_sub(prefetch_distance)
-        };
-        for k in 0..steady {
-            let ahead = scratch[k + prefetch_distance] as usize;
-            prefetch_read(a.seg_ptr(ahead));
-            prefetch_read(b.seg_ptr(ahead));
-            let i = scratch[k] as usize;
-            // SAFETY: as in the interleaved form.
-            count +=
-                unsafe { table.count(a.seg_ptr(i), a.seg_size(i), b.seg_ptr(i), b.seg_size(i)) }
-                    as u64;
-        }
-        for &si in &scratch[steady..] {
-            let i = si as usize;
-            // SAFETY: as in the interleaved form.
-            count +=
-                unsafe { table.count(a.seg_ptr(i), a.seg_size(i), b.seg_ptr(i), b.seg_size(i)) }
-                    as u64;
-        }
-    } else {
-        let (large, small) = if a.bitmap_bits() > b.bitmap_bits() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let seg_mask = small.num_segments() - 1;
-        for_each_nonzero_lane_folded(
-            level,
-            lane,
-            large.bitmap_bytes(),
-            small.bitmap_bytes(),
-            |i| {
-                if scratch.len() < prefetch_distance {
-                    prefetch_read(large.seg_ptr(i));
-                    prefetch_read(small.seg_ptr(i & seg_mask));
-                }
-                scratch.push(i as u32);
-            },
-        );
-        let steady = if prefetch_distance == 0 {
-            0
-        } else {
-            scratch.len().saturating_sub(prefetch_distance)
-        };
-        for k in 0..steady {
-            let ahead = scratch[k + prefetch_distance] as usize;
-            prefetch_read(large.seg_ptr(ahead));
-            prefetch_read(small.seg_ptr(ahead & seg_mask));
-            let i = scratch[k] as usize;
-            let j = i & seg_mask;
-            // SAFETY: as in the interleaved form (folded contract).
-            count += unsafe {
-                table.count_folded(
-                    large.seg_ptr(i),
-                    large.seg_size(i),
-                    small.seg_ptr(j),
-                    small.seg_size(j),
-                )
-            } as u64;
-        }
-        for &si in &scratch[steady..] {
-            let i = si as usize;
-            let j = i & seg_mask;
-            // SAFETY: as in the interleaved form (folded contract).
-            count += unsafe {
-                table.count_folded(
-                    large.seg_ptr(i),
-                    large.seg_size(i),
-                    small.seg_ptr(j),
-                    small.seg_size(j),
-                )
-            } as u64;
-        }
-    }
-    count as usize
-}
-
-/// [`intersect_count_with`] in the summary-pruned form, with an explicit
-/// survivor buffer; returns the count and the block-level
-/// [`PruneStats`] (how many 512-bit bitmap blocks the summary AND let
-/// the scan skip).
-///
-/// Phase 1 first ANDs the one-bit-per-block summaries and only scans the
-/// full-bitmap blocks whose summary bits overlap (prefetching upcoming
-/// survivor blocks, see `fesia_simd::mask`), pushing surviving segment
-/// indices into `scratch`; phase 2 is the same prefetched sweep as
-/// [`intersect_count_pipelined_with`]. On sparse pairs this never
-/// streams the dead majority of either bitmap; on dense pairs it
-/// degenerates to the plain scan plus the summary pass, which is why
-/// the dispatcher gates it behind [`crate::tuning::should_prune`].
-///
-/// Counts are always identical to [`intersect_count_interleaved_with`].
-pub fn intersect_count_pruned_with(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    scratch: &mut Vec<u32>,
-    prefetch_distance: usize,
-) -> (usize, PruneStats) {
-    check_compatible(a, b);
-    let level = table.level();
-    let lane = a.lane();
-    scratch.clear();
-    let mut count = 0u64;
-    let stats;
-    if a.bitmap_bits() == b.bitmap_bits() {
-        stats = for_each_nonzero_lane_pruned(
-            level,
-            lane,
-            a.bitmap_bytes(),
-            b.bitmap_bytes(),
-            a.summary_words(),
-            b.summary_words(),
-            |i| {
-                if scratch.len() < prefetch_distance {
-                    prefetch_read(a.seg_ptr(i));
-                    prefetch_read(b.seg_ptr(i));
-                }
-                scratch.push(i as u32);
-            },
-        );
-        let steady = if prefetch_distance == 0 {
-            0
-        } else {
-            scratch.len().saturating_sub(prefetch_distance)
-        };
-        for k in 0..steady {
-            let ahead = scratch[k + prefetch_distance] as usize;
-            prefetch_read(a.seg_ptr(ahead));
-            prefetch_read(b.seg_ptr(ahead));
-            let i = scratch[k] as usize;
-            // SAFETY: as in the interleaved form.
-            count +=
-                unsafe { table.count(a.seg_ptr(i), a.seg_size(i), b.seg_ptr(i), b.seg_size(i)) }
-                    as u64;
-        }
-        for &si in &scratch[steady..] {
-            let i = si as usize;
-            // SAFETY: as in the interleaved form.
-            count +=
-                unsafe { table.count(a.seg_ptr(i), a.seg_size(i), b.seg_ptr(i), b.seg_size(i)) }
-                    as u64;
-        }
-    } else {
-        let (large, small) = if a.bitmap_bits() > b.bitmap_bits() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let seg_mask = small.num_segments() - 1;
-        stats = for_each_nonzero_lane_folded_pruned(
-            level,
-            lane,
-            large.bitmap_bytes(),
-            small.bitmap_bytes(),
-            large.summary_words(),
-            small.summary_words(),
-            |i| {
-                if scratch.len() < prefetch_distance {
-                    prefetch_read(large.seg_ptr(i));
-                    prefetch_read(small.seg_ptr(i & seg_mask));
-                }
-                scratch.push(i as u32);
-            },
-        );
-        let steady = if prefetch_distance == 0 {
-            0
-        } else {
-            scratch.len().saturating_sub(prefetch_distance)
-        };
-        for k in 0..steady {
-            let ahead = scratch[k + prefetch_distance] as usize;
-            prefetch_read(large.seg_ptr(ahead));
-            prefetch_read(small.seg_ptr(ahead & seg_mask));
-            let i = scratch[k] as usize;
-            let j = i & seg_mask;
-            // SAFETY: as in the interleaved form (folded contract).
-            count += unsafe {
-                table.count_folded(
-                    large.seg_ptr(i),
-                    large.seg_size(i),
-                    small.seg_ptr(j),
-                    small.seg_size(j),
-                )
-            } as u64;
-        }
-        for &si in &scratch[steady..] {
-            let i = si as usize;
-            let j = i & seg_mask;
-            // SAFETY: as in the interleaved form (folded contract).
-            count += unsafe {
-                table.count_folded(
-                    large.seg_ptr(i),
-                    large.seg_size(i),
-                    small.seg_ptr(j),
-                    small.seg_size(j),
-                )
-            } as u64;
-        }
-    }
-    (count as usize, stats)
-}
-
-// ---------------------------------------------------------------------------
-// Shared survivor-scan / sweep engine. The breakdown instrumentation and
-// the threshold (early-exit) forms all run phase 1 "collect survivors"
-// and phase 2 "sweep the list" explicitly; these helpers keep them to
-// one body per phase instead of a parallel copy per variant.
-// ---------------------------------------------------------------------------
-
-/// Order a pair for an explicit-survivor form: `(x, y, folded)` with `x`
-/// the larger-bitmap side when the pair folds.
-fn order_sides<'a>(
-    a: &'a SegmentedSet,
-    b: &'a SegmentedSet,
-) -> (&'a SegmentedSet, &'a SegmentedSet, bool) {
-    let folded = a.bitmap_bits() != b.bitmap_bits();
-    if !folded || a.bitmap_bits() > b.bitmap_bits() {
-        (a, b, folded)
-    } else {
-        (b, a, folded)
+        Sides { t, x, y }
     }
 }
 
-/// Phase 1 of every explicit-survivor form: visit the surviving segment
-/// indices of `x ∩ y`, through the summary filter when `pruned`.
-fn scan_survivors<F: FnMut(usize)>(
-    level: SimdLevel,
-    lane: LaneWidth,
-    x: &SegmentedSet,
-    y: &SegmentedSet,
-    folded: bool,
-    pruned: bool,
+/// Step 2's consumer. A surviving pair `(i, j)` is segment `i` of `x` and
+/// its folded partner `j = i & (n_y - 1)` of `y` (`j == i` when the
+/// bitmaps are equal).
+pub(crate) trait PairSink {
+    /// Whether the buffered sweep also calls [`PairSink::prefetch_far`],
+    /// a second lookahead window further out.
+    const FAR: bool = false;
+    /// Hint the memory pair `(i, j)`'s step 2 will read.
+    fn prefetch(&self, s: Sides, i: usize, j: usize);
+    /// Hint what [`PairSink::prefetch`] itself reads.
+    #[inline(always)]
+    fn prefetch_far(&self, _s: Sides, _i: usize, _j: usize) {}
+    /// Step 1 buffered survivor `(i, j)` (buffered sweeps only).
+    #[inline(always)]
+    fn found(&mut self, _s: Sides, _i: usize, _j: usize) {}
+    /// Step 1 is done (buffered sweeps only); `Break` skips step 2.
+    #[inline(always)]
+    fn step1_done(&mut self) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+    /// Step 2 on one pair of a `FOLDED` (different-size) or equal-size
+    /// pair of bitmaps; `Break` ends a buffered sweep. The interleaved
+    /// form cannot stop its scan, so a sink that breaks runs buffered.
+    fn pair<const FOLDED: bool>(&mut self, s: Sides, i: usize, j: usize) -> ControlFlow<()>;
+}
+
+/// What one sweep did.
+#[derive(Debug, Default)]
+pub(crate) struct Swept {
+    survivors: usize,
+    prune: Option<PruneStats>,
+    step1_cycles: u64,
+    step2_cycles: u64,
+}
+
+/// Step 1: visit the surviving segment indices of `x` (the larger bitmap)
+/// combined with `y` under the `Or` combiner if `OR`, else `And`, through
+/// the summary filter when `PRUNED`. Bitmaps of different sizes
+/// (`FOLDED`) fold: segment `i` of `x` pairs with `i mod n_y` of `y`. The
+/// shape is a compile-time parameter so that each caller's closure
+/// reaches exactly one scanner with a constant combiner, which keeps it
+/// inlined into the per-ISA scan loops.
+#[inline(always)]
+fn scan_survivors<const OR: bool, const PRUNED: bool, const FOLDED: bool, F: FnMut(usize)>(
+    s: Sides,
     f: F,
 ) -> Option<PruneStats> {
-    match (pruned, folded) {
+    let (level, x, y) = (s.t.level(), s.x, s.y);
+    let (lane, xb, yb) = (x.lane(), x.bitmap_bytes(), y.bitmap_bytes());
+    let (xs, ys) = (x.summary_words(), y.summary_words());
+    let op = if OR { MaskOp::Or } else { MaskOp::And };
+    match (PRUNED, FOLDED) {
         (false, false) => {
-            for_each_nonzero_lane(level, lane, x.bitmap_bytes(), y.bitmap_bytes(), f);
+            for_each_nonzero_lane_op(level, op, lane, xb, yb, f);
             None
         }
         (false, true) => {
-            for_each_nonzero_lane_folded(level, lane, x.bitmap_bytes(), y.bitmap_bytes(), f);
+            for_each_nonzero_lane_folded_op(level, op, lane, xb, yb, f);
             None
         }
-        (true, false) => Some(for_each_nonzero_lane_pruned(
-            level,
-            lane,
-            x.bitmap_bytes(),
-            y.bitmap_bytes(),
-            x.summary_words(),
-            y.summary_words(),
-            f,
-        )),
+        (true, false) => Some(for_each_nonzero_lane_pruned(level, lane, xb, yb, xs, ys, f)),
         (true, true) => Some(for_each_nonzero_lane_folded_pruned(
-            level,
-            lane,
-            x.bitmap_bytes(),
-            y.bitmap_bytes(),
-            x.summary_words(),
-            y.summary_words(),
-            f,
+            level, lane, xb, yb, xs, ys, f,
         )),
     }
 }
 
-/// Phase 2's per-pair kernel dispatch for raw (uncompressed) segments.
-#[inline(always)]
-fn count_raw_pair(
+/// Run a merge-family plan of the given shape over `s`, feeding every
+/// surviving segment pair to `sink`.
+pub(crate) fn sweep<S: PairSink>(s: Sides, shape: Sweep, sink: &mut S) -> Swept {
+    let or = shape.scan == MaskOp::Or;
+    match (or, shape.pruned, s.x.bitmap_bits() != s.y.bitmap_bits()) {
+        (false, false, false) => sweep_as::<S, false, false, false>(s, shape, sink),
+        (false, false, true) => sweep_as::<S, false, false, true>(s, shape, sink),
+        (false, true, false) => sweep_as::<S, false, true, false>(s, shape, sink),
+        (false, true, true) => sweep_as::<S, false, true, true>(s, shape, sink),
+        // `route` never prunes an `Or` scan.
+        (true, _, false) => sweep_as::<S, true, false, false>(s, shape, sink),
+        (true, _, true) => sweep_as::<S, true, false, true>(s, shape, sink),
+    }
+}
+
+fn sweep_as<S: PairSink, const OR: bool, const PRUNED: bool, const FOLDED: bool>(
+    s: Sides,
+    shape: Sweep,
+    sink: &mut S,
+) -> Swept {
+    let Some(dist) = shape.buffered else {
+        let seg_mask = s.y.num_segments() - 1;
+        let scan = |i| {
+            let _ = sink.pair::<FOLDED>(s, i, partner::<FOLDED>(i, seg_mask));
+        };
+        let prune = scan_survivors::<OR, PRUNED, FOLDED, _>(s, scan);
+        // The interleaved form keeps no survivor list, so it counts none.
+        return Swept {
+            prune,
+            ..Swept::default()
+        };
+    };
+    let mut run =
+        |list: &mut Vec<u32>| sweep_buffered::<S, OR, PRUNED, FOLDED>(s, shape, dist, list, sink);
+    PIPELINE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut list) => {
+            if list.capacity() != 0 {
+                fesia_obs::metrics().scratch_reused.inc();
+            }
+            run(&mut list)
+        }
+        // A visitor running another buffered sweep from inside this one.
+        Err(_) => run(&mut Vec::new()),
+    })
+}
+
+/// The buffered form. Step 1 pushes each surviving segment index into
+/// `list`, hinting only the first `dist` — the window step 2 touches
+/// before its own lookahead takes over (hinting *every* survivor at push
+/// time costs issue slots, and the lines are evicted again before a long
+/// sweep reaches them). Step 2 ([`sweep_list`]) then sweeps the list.
+fn sweep_buffered<S: PairSink, const OR: bool, const PRUNED: bool, const FOLDED: bool>(
+    s: Sides,
+    shape: Sweep,
+    dist: usize,
+    list: &mut Vec<u32>,
+    sink: &mut S,
+) -> Swept {
+    let seg_mask = s.y.num_segments() - 1;
+    let timer = shape.timed.then(CycleTimer::start);
+    list.clear();
+    let push = |i| {
+        let j = partner::<FOLDED>(i, seg_mask);
+        if list.len() < dist {
+            sink.prefetch(s, i, j);
+        }
+        sink.found(s, i, j);
+        list.push(i as u32);
+    };
+    let prune = scan_survivors::<OR, PRUNED, FOLDED, _>(s, push);
+    let mut swept = Swept {
+        survivors: list.len(),
+        prune,
+        step1_cycles: timer.map_or(0, |t| t.elapsed_cycles()),
+        step2_cycles: 0,
+    };
+    let m = fesia_obs::metrics();
+    m.survivor_segments.add(list.len() as u64);
+    if let Some(st) = prune {
+        m.summary_blocks_skipped.add(st.skipped() as u64);
+    }
+    let timer = shape.timed.then(CycleTimer::start);
+    if sink.step1_done().is_continue() {
+        sweep_list::<S, FOLDED>(s.t, s.x, s.y, list, dist, sink);
+    }
+    swept.step2_cycles = timer.map_or(0, |t| t.elapsed_cycles());
+    swept
+}
+
+/// Step 2 of the buffered form: sweep the survivor list keeping `dist`
+/// pairs in flight, so the kernels' dependent loads overlap with compute
+/// instead of serializing on cache misses. A function of its own, taking
+/// the sides as separate shared references and the sink unescaped, so
+/// that both stay in registers.
+#[inline(never)]
+fn sweep_list<S: PairSink, const FOLDED: bool>(
+    t: &KernelTable,
     x: &SegmentedSet,
     y: &SegmentedSet,
-    table: &KernelTable,
-    folded: bool,
-    i: usize,
-    j: usize,
-) -> u32 {
-    // SAFETY: segment pointers carry PAD_LEN over-read slack and the
-    // segmented layout upholds the kernel (folded) over-read contract.
-    unsafe {
-        if folded {
-            table.count_folded(x.seg_ptr(i), x.seg_size(i), y.seg_ptr(j), y.seg_size(j))
-        } else {
-            table.count(x.seg_ptr(i), x.seg_size(i), y.seg_ptr(j), y.seg_size(j))
+    list: &[u32],
+    dist: usize,
+    sink: &mut S,
+) {
+    let s = Sides { t, x, y };
+    let seg_mask = y.num_segments() - 1;
+    // Steady state: the lookahead index is in bounds, so the window check
+    // stays out of the loop. The tail runs with no prefetch — its lines
+    // are already in flight.
+    let n = list.len();
+    let steady = if dist == 0 { 0 } else { n.saturating_sub(dist) };
+    let j = |i: u32| partner::<FOLDED>(i as usize, seg_mask);
+    for k in 0..steady {
+        let ahead = list[k + dist];
+        sink.prefetch(s, ahead as usize, j(ahead));
+        if S::FAR && k + 2 * dist < n {
+            let far = list[k + 2 * dist];
+            sink.prefetch_far(s, far as usize, j(far));
+        }
+        let i = list[k];
+        if sink.pair::<FOLDED>(s, i as usize, j(i)).is_break() {
+            return;
+        }
+    }
+    for &i in &list[steady..] {
+        if sink.pair::<FOLDED>(s, i as usize, j(i)).is_break() {
+            return;
+        }
+    }
+}
+
+/// Segment `i`'s partner on the smaller bitmap: `i mod n_y` when the
+/// bitmaps fold, `i` itself when they are equal.
+#[inline(always)]
+fn partner<const FOLDED: bool>(i: usize, seg_mask: usize) -> usize {
+    if FOLDED {
+        i & seg_mask
+    } else {
+        i
+    }
+}
+
+/// Step 2's per-pair count kernel: the compiled jump table over raw
+/// segment runs ([`RawKernels`]) or decode-then-count over the packed
+/// tiers ([`CompressedSweep`]).
+trait SegmentCounter {
+    /// As [`PairSink::FAR`].
+    const FAR: bool = false;
+    fn prefetch(&self, s: Sides, i: usize, j: usize);
+    #[inline(always)]
+    fn prefetch_far(&self, _s: Sides, _i: usize, _j: usize) {}
+    fn count<const FOLDED: bool>(&mut self, s: Sides, i: usize, j: usize) -> u32;
+}
+
+/// The specialised kernels over raw segment runs. Folded pairs use the
+/// A-broadcast-only family.
+struct RawKernels;
+
+impl SegmentCounter for RawKernels {
+    #[inline(always)]
+    fn prefetch(&self, s: Sides, i: usize, j: usize) {
+        prefetch_read(s.x.seg_ptr(i));
+        prefetch_read(s.y.seg_ptr(j));
+    }
+
+    #[inline(always)]
+    fn count<const FOLDED: bool>(&mut self, s: Sides, i: usize, j: usize) -> u32 {
+        let (t, x, y) = (s.t, s.x, s.y);
+        // SAFETY: segment pointers carry PAD_LEN over-read slack and the
+        // segmented layout upholds the kernel over-read contract. The
+        // folded family never block-loads the large side `x` (whose
+        // over-read may span a whole period of the small bitmap), and
+        // small-side over-read elements belong to other folded segments.
+        unsafe {
+            if FOLDED {
+                t.count_folded(x.seg_ptr(i), x.seg_size(i), y.seg_ptr(j), y.seg_size(j))
+            } else {
+                t.count(x.seg_ptr(i), x.seg_size(i), y.seg_ptr(j), y.seg_size(j))
+            }
         }
     }
 }
@@ -787,79 +631,87 @@ fn prefetch_packed(s: &SegmentedSet, words: *const u64, width: u32, i: usize) {
     prefetch_read(unsafe { words.add(word as usize) });
 }
 
-/// Phase-2 sweep state for the compressed form, shared by the production
-/// path, the breakdown instrumentation, and the threshold sweep: one
-/// surviving pair in, one unpack + kernel count out, with the two-stage
-/// prefetch kept identical everywhere.
+/// Decode-then-count over the packed tiers. Each surviving pair is
+/// unpacked into per-thread sentinel-padded scratch (the SIMD decode
+/// prologue, [`KernelTable::unpack_segment`]) and counted by the ordinary
+/// compare kernels. Because `fmix32` is a bijection and the decode
+/// reconstructs the full 32-bit hash, the per-segment hash-domain counts
+/// equal the element-domain counts — on folded pairs too, where both
+/// sides decode to the same `fmix32(x)` regardless of their different
+/// geometries — while step 2 streams `width/32` of the raw bytes.
 struct CompressedSweep<'a> {
-    x: &'a SegmentedSet,
-    y: &'a SegmentedSet,
-    table: &'a KernelTable,
     xw: *const u64,
     yw: *const u64,
     wx: u32,
     wy: u32,
     log2_s: u32,
-    seg_mask: usize,
-    dist: usize,
     da: &'a mut DecodeScratch,
     db: &'a mut DecodeScratch,
+    pairs: u64,
     kx_total: u64,
     ky_total: u64,
 }
 
-impl<'a> CompressedSweep<'a> {
-    /// Both sides must carry packed tiers ([`SegmentedSet::packed`]).
-    fn new(
-        x: &'a SegmentedSet,
-        y: &'a SegmentedSet,
-        table: &'a KernelTable,
-        scratch: (&'a mut DecodeScratch, &'a mut DecodeScratch),
-        dist: usize,
-    ) -> CompressedSweep<'a> {
-        let px = x.packed().expect("compressed form needs packed tiers");
-        let py = y.packed().expect("compressed form needs packed tiers");
-        CompressedSweep {
-            x,
-            y,
-            table,
+impl CompressedSweep<'_> {
+    /// Decode statistics for the pairs counted so far.
+    fn stats(&self) -> CompressStats {
+        CompressStats {
+            segments_decoded: 2 * self.pairs,
+            bytes_saved: 4 * (self.kx_total + self.ky_total)
+                - (self.kx_total * u64::from(self.wx) + self.ky_total * u64::from(self.wy)) / 8,
+        }
+    }
+}
+
+/// Run `f` with a [`CompressedSweep`] over `(x, y)`'s packed tiers, which
+/// both sides must carry ([`SegmentedSet::packed`]).
+fn with_packed<T>(
+    x: &SegmentedSet,
+    y: &SegmentedSet,
+    f: impl FnOnce(CompressedSweep<'_>) -> T,
+) -> T {
+    let px = x.packed().expect("compressed form needs packed tiers");
+    let py = y.packed().expect("compressed form needs packed tiers");
+    DECODE_SCRATCH.with(|ds| {
+        let (da, db) = &mut *ds.borrow_mut();
+        f(CompressedSweep {
             xw: px.words().as_ptr(),
             yw: py.words().as_ptr(),
             wx: px.width(),
             wy: py.width(),
             log2_s: x.lane().bits().trailing_zeros(),
-            seg_mask: y.num_segments() - 1,
-            dist,
-            da: scratch.0,
-            db: scratch.1,
+            da,
+            db,
+            pairs: 0,
             kx_total: 0,
             ky_total: 0,
-        }
+        })
+    })
+}
+
+impl SegmentCounter for CompressedSweep<'_> {
+    /// The packed-word address depends on the metadata entry, so the
+    /// entry itself is hinted a window further out: by the time it is
+    /// read to compute the stream word it is cache-resident, and the only
+    /// in-flight misses are the asynchronous hints.
+    const FAR: bool = true;
+
+    #[inline(always)]
+    fn prefetch(&self, s: Sides, i: usize, j: usize) {
+        prefetch_packed(s.x, self.xw, self.wx, i);
+        prefetch_packed(s.y, self.yw, self.wy, j);
     }
 
-    /// Count survivor `pairs[k]`, keeping the two-stage lookahead window
-    /// in flight: the packed-word address depends on the metadata entry,
-    /// so the entry itself is hinted a further `dist` out — by the time
-    /// it is read to compute the stream word, it is cache-resident and
-    /// the only in-flight misses are the asynchronous hints.
+    #[inline(always)]
+    fn prefetch_far(&self, s: Sides, i: usize, j: usize) {
+        s.x.prefetch_seg_entry(i);
+        s.y.prefetch_seg_entry(j);
+    }
+
     #[inline]
-    fn count_pair(&mut self, pairs: &[u32], k: usize) -> u32 {
-        if self.dist != 0 {
-            if k + 2 * self.dist < pairs.len() {
-                let far = pairs[k + 2 * self.dist] as usize;
-                self.x.prefetch_seg_entry(far);
-                self.y.prefetch_seg_entry(far & self.seg_mask);
-            }
-            if k + self.dist < pairs.len() {
-                let ahead = pairs[k + self.dist] as usize;
-                prefetch_packed(self.x, self.xw, self.wx, ahead);
-                prefetch_packed(self.y, self.yw, self.wy, ahead & self.seg_mask);
-            }
-        }
-        let i = pairs[k] as usize;
-        let j = i & self.seg_mask;
-        let (xo, kx) = self.x.seg_entry(i);
-        let (yo, ky) = self.y.seg_entry(j);
+    fn count<const FOLDED: bool>(&mut self, s: Sides, i: usize, j: usize) -> u32 {
+        let (xo, kx) = s.x.seg_entry(i);
+        let (yo, ky) = s.y.seg_entry(j);
         let dx = self.da.prepare(kx);
         let dy = self.db.prepare(ky);
         // SAFETY: the jobs describe real segments of streams packed at
@@ -868,44 +720,36 @@ impl<'a> CompressedSweep<'a> {
         // behind them); both decoded runs are ascending, sentinel-padded
         // with distinct above-range values, and OVERREAD-readable.
         let c = unsafe {
-            self.table.unpack_segment(
+            s.t.unpack_segment(
                 self.xw,
                 UnpackJob {
                     bit_base: xo as u64 * u64::from(self.wx),
                     k: kx,
                     width: self.wx,
-                    log2_m: self.x.log2_m(),
+                    log2_m: s.x.log2_m(),
                     log2_s: self.log2_s,
                     seg_index: i as u32,
                 },
                 dx,
             );
-            self.table.unpack_segment(
+            s.t.unpack_segment(
                 self.yw,
                 UnpackJob {
                     bit_base: yo as u64 * u64::from(self.wy),
                     k: ky,
                     width: self.wy,
-                    log2_m: self.y.log2_m(),
+                    log2_m: s.y.log2_m(),
                     log2_s: self.log2_s,
                     seg_index: j as u32,
                 },
                 dy,
             );
-            self.table.count(dx as *const u32, kx, dy as *const u32, ky)
+            s.t.count(dx as *const u32, kx, dy as *const u32, ky)
         };
+        self.pairs += 1;
         self.kx_total += kx as u64;
         self.ky_total += ky as u64;
         c
-    }
-
-    /// Decode statistics for the `pairs_swept` pairs counted so far.
-    fn stats(&self, pairs_swept: usize) -> CompressStats {
-        CompressStats {
-            segments_decoded: 2 * pairs_swept as u64,
-            bytes_saved: 4 * (self.kx_total + self.ky_total)
-                - (self.kx_total * u64::from(self.wx) + self.ky_total * u64::from(self.wy)) / 8,
-        }
     }
 }
 
@@ -921,54 +765,290 @@ pub struct CompressStats {
     pub bytes_saved: u64,
 }
 
-/// [`intersect_count_with`] in the compressed form, with an explicit
-/// survivor buffer; returns the count and the decode [`CompressStats`].
-///
-/// Both sets must carry a packed tier ([`SegmentedSet::packed`]). Phase 1
-/// is the pipelined survivor scan, prefetching the packed *streams*
-/// rather than the raw element arrays. Phase 2 unpacks each surviving
-/// segment pair into per-thread sentinel-padded scratch (the SIMD decode
-/// prologue, [`KernelTable::unpack_segment`]) and runs the ordinary
-/// compare kernels on the decoded hashes. Because `fmix32` is a
-/// bijection and the decode reconstructs the full 32-bit hash, the
-/// per-segment hash-domain counts equal the element-domain counts — on
-/// folded pairs too, where both sides decode to the same `fmix32(x)`
-/// regardless of their different geometries — so every form counts
-/// identically while step 2 streams `width/32` of the raw bytes.
-pub fn intersect_count_compressed_with(
+/// The counting sink.
+struct Count<C> {
+    kernels: C,
+    n: u64,
+}
+
+impl<C: SegmentCounter> PairSink for Count<C> {
+    const FAR: bool = C::FAR;
+
+    #[inline(always)]
+    fn prefetch(&self, s: Sides, i: usize, j: usize) {
+        self.kernels.prefetch(s, i, j);
+    }
+
+    #[inline(always)]
+    fn prefetch_far(&self, s: Sides, i: usize, j: usize) {
+        self.kernels.prefetch_far(s, i, j);
+    }
+
+    #[inline(always)]
+    fn pair<const FOLDED: bool>(&mut self, s: Sides, i: usize, j: usize) -> ControlFlow<()> {
+        self.n += u64::from(self.kernels.count::<FOLDED>(s, i, j));
+        ControlFlow::Continue(())
+    }
+}
+
+/// The threshold sink: a [`Count`] under a residual budget. Step 1 sums
+/// the budget `Σ min(|seg_x|, |seg_y|)` over the survivors — sound
+/// because a zero AND lane implies an empty segment intersection, so only
+/// survivors can contribute, each at most its smaller side's population.
+/// A budget already below the threshold rejects with zero segment
+/// compares. Step 2 keeps `count + budget >= threshold` and breaks the
+/// moment it fails (reject) or, with `accept_early`, the moment the count
+/// reaches the threshold (accept). The budget is zero when the sweep
+/// completes, so completion itself proves `count >= threshold`.
+struct Bounded<C> {
+    count: Count<C>,
+    budget: u64,
+    threshold: u64,
+    accept_early: bool,
+    rejected: bool,
+}
+
+#[inline(always)]
+fn cap(s: Sides, i: usize, j: usize) -> u64 {
+    s.x.seg_size(i).min(s.y.seg_size(j)) as u64
+}
+
+impl<C: SegmentCounter> PairSink for Bounded<C> {
+    const FAR: bool = C::FAR;
+
+    #[inline(always)]
+    fn prefetch(&self, s: Sides, i: usize, j: usize) {
+        self.count.prefetch(s, i, j);
+    }
+
+    #[inline(always)]
+    fn prefetch_far(&self, s: Sides, i: usize, j: usize) {
+        self.count.prefetch_far(s, i, j);
+    }
+
+    #[inline(always)]
+    fn found(&mut self, s: Sides, i: usize, j: usize) {
+        self.budget += cap(s, i, j);
+    }
+
+    fn step1_done(&mut self) -> ControlFlow<()> {
+        self.rejected = self.budget < self.threshold;
+        if self.rejected {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    #[inline(always)]
+    fn pair<const FOLDED: bool>(&mut self, s: Sides, i: usize, j: usize) -> ControlFlow<()> {
+        self.budget -= cap(s, i, j);
+        let _ = self.count.pair::<FOLDED>(s, i, j);
+        let n = self.count.n;
+        self.rejected = n + self.budget < self.threshold;
+        if self.rejected || (self.accept_early && n >= self.threshold) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
+/// Order `(a, b)` for the engine and run `shape` over it with the counting
+/// sink: the count, what the sweep did, and the decode statistics when
+/// step 2 ran over the packed tiers.
+fn count_sweep(
+    a: &SegmentedSet,
+    b: &SegmentedSet,
+    t: &KernelTable,
+    shape: Sweep,
+) -> (usize, Swept, Option<CompressStats>) {
+    let s = Sides::of(t, a, b);
+    if shape.packed {
+        with_packed(s.x, s.y, |kernels| {
+            let mut sink = Count { kernels, n: 0 };
+            let swept = sweep(s, shape, &mut sink);
+            (sink.n as usize, swept, Some(sink.kernels.stats()))
+        })
+    } else {
+        let mut sink = Count {
+            kernels: RawKernels,
+            n: 0,
+        };
+        let swept = sweep(s, shape, &mut sink);
+        (sink.n as usize, swept, None)
+    }
+}
+
+/// Run `f`, recording its cycle cost in `intersect_cycles` on 1 in 64
+/// increments of the per-form counter `form`.
+fn sampled<T>(form: &fesia_obs::Counter, f: impl FnOnce() -> T) -> T {
+    let timer = (form.inc() & fesia_obs::SAMPLE_MASK == 0).then(CycleTimer::start);
+    let out = f();
+    if let Some(t) = timer {
+        fesia_obs::metrics()
+            .intersect_cycles
+            .record(t.elapsed_cycles());
+    }
+    out
+}
+
+/// The counting face of the engine: run what [`route`] resolved,
+/// recording the per-form dispatch counters.
+fn count_route(a: &SegmentedSet, b: &SegmentedSet, table: &KernelTable, route: Route) -> usize {
+    let m = fesia_obs::metrics();
+    match route {
+        Route::Sweep(shape) => {
+            let form = if shape.packed {
+                &m.intersect_compressed
+            } else if shape.pruned {
+                &m.intersect_pruned
+            } else if shape.buffered.is_some() {
+                &m.intersect_pipelined
+            } else {
+                &m.intersect_interleaved
+            };
+            sampled(form, || {
+                let (n, _, decode) = count_sweep(a, b, table, shape);
+                if let Some(d) = decode {
+                    m.compressed_segments_decoded.add(d.segments_decoded);
+                    m.compressed_bytes_saved.add(d.bytes_saved);
+                }
+                n
+            })
+        }
+        Route::Containers(ca, cb) => sampled(&m.intersect_container, || {
+            crate::container::intersect_count(ca, cb, table.level())
+        }),
+        Route::Probe => {
+            let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+            m.hash_probe_elements.add(small.len() as u64);
+            hash_probe_count(small.reordered_elements(), large)
+        }
+        // A zero threshold never rejects.
+        Route::Gallop => bounded_gallop(a, b, 0, false).unwrap_or(0) as usize,
+    }
+}
+
+/// The threshold face of the engine: `Some(count)` when |A ∩ B| reaches
+/// `threshold` (`count` is exact unless `accept_early`, in which case it
+/// is merely `>= threshold`), `None` when it does not, established with
+/// as little work as the residual bound allowed. The planner's threshold
+/// term settles trivial pairs first; every other route short-circuits:
+/// the merge family via the per-survivor budget, containers via
+/// per-range cardinalities, and the probe family via the
+/// remaining-element count.
+fn threshold_planned(
     a: &SegmentedSet,
     b: &SegmentedSet,
     table: &KernelTable,
-    scratch: &mut Vec<u32>,
-    prefetch_distance: usize,
-) -> (usize, CompressStats) {
-    check_compatible(a, b);
-    scratch.clear();
-    let (x, y, folded) = order_sides(a, b);
-    let px = x.packed().expect("compressed form needs packed tiers");
-    let py = y.packed().expect("compressed form needs packed tiers");
-    let (wx, wy) = (px.width(), py.width());
-    let (xw, yw) = (px.words().as_ptr(), py.words().as_ptr());
-    let seg_mask = y.num_segments() - 1;
-
-    scan_survivors(table.level(), a.lane(), x, y, folded, false, |i| {
-        if scratch.len() < prefetch_distance {
-            prefetch_packed(x, xw, wx, i);
-            prefetch_packed(y, yw, wy, i & seg_mask);
+    planner: &IntersectPlanner,
+    threshold: usize,
+    accept_early: bool,
+) -> Option<usize> {
+    let (sa, sb) = (SetSummary::of(a), SetSummary::of(b));
+    let plan = match planner.plan_pair_threshold(&sa, &sb, threshold) {
+        ThresholdPlan::TrivialAccept if accept_early => return Some(threshold),
+        ThresholdPlan::TrivialAccept => {
+            return Some(execute_plan_count(a, b, table, planner.plan_pair(&sa, &sb)))
         }
-        scratch.push(i as u32);
-    });
-
-    DECODE_SCRATCH.with(|ds| {
-        let pair = &mut *ds.borrow_mut();
-        let mut sweep =
-            CompressedSweep::new(x, y, table, (&mut pair.0, &mut pair.1), prefetch_distance);
-        let mut count = 0u64;
-        for k in 0..scratch.len() {
-            count += u64::from(sweep.count_pair(scratch, k));
+        ThresholdPlan::TrivialReject => return None,
+        ThresholdPlan::Run(plan) => plan,
+    };
+    let threshold = threshold as u64;
+    let n = match route(a, b, plan, MaskOp::And, true) {
+        Route::Sweep(shape) => {
+            let s = Sides::of(table, a, b);
+            // The budget exists only once step 1 is done, so this sink
+            // always buffers.
+            let shape = Sweep {
+                buffered: Some(shape.buffered.unwrap_or(0)),
+                ..shape
+            };
+            if shape.packed {
+                with_packed(s.x, s.y, |k| {
+                    bounded_sweep(s, shape, k, threshold, accept_early)
+                })
+            } else {
+                bounded_sweep(s, shape, RawKernels, threshold, accept_early)
+            }
         }
-        (count as usize, sweep.stats(scratch.len()))
-    })
+        Route::Containers(ca, cb) => {
+            crate::container::and_total_bounded(ca, cb, table.level(), threshold, accept_early)
+        }
+        Route::Probe => {
+            let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+            bounded_probe(
+                small.reordered_elements().iter().copied(),
+                small.len(),
+                |x| large.contains(x),
+                threshold,
+                accept_early,
+            )
+        }
+        Route::Gallop => bounded_gallop(a, b, threshold, accept_early),
+    };
+    n.map(|n| n as usize)
+}
+
+fn bounded_sweep<C: SegmentCounter>(
+    s: Sides,
+    shape: Sweep,
+    kernels: C,
+    threshold: u64,
+    accept_early: bool,
+) -> Option<u64> {
+    let mut sink = Bounded {
+        count: Count { kernels, n: 0 },
+        budget: 0,
+        threshold,
+        accept_early,
+        rejected: false,
+    };
+    sweep(s, shape, &mut sink);
+    (!sink.rejected).then_some(sink.count.n)
+}
+
+/// |A ∩ B| via FESIA's two-phase algorithm with an explicit kernel table.
+///
+/// Phase 1 ANDs the bitmaps at `table.level()` width and extracts non-zero
+/// segments; phase 2 dispatches each surviving segment pair to a
+/// specialized kernel. Bitmaps of different sizes fold onto one another
+/// (segment `i` of the larger pairs with `i mod N2` of the smaller).
+///
+/// The process-wide planner picks among the merge-family plans only (the
+/// caller has committed to the two-phase algorithm; a planner forced to
+/// hash or gallop falls back to auto selection here): the interleaved
+/// form (kernel dispatched the moment a survivor is found), the pipelined
+/// form (survivors buffered with software prefetch, then swept) once the
+/// pair reaches [`pipeline_params`]`().min_elements`, the summary-pruned
+/// step 1 on large sparse pairs ([`crate::tuning::should_prune`] under
+/// [`prune_params`]), and the compressed or container tiers when both
+/// sets carry them. All forms count identically.
+pub fn intersect_count_with(a: &SegmentedSet, b: &SegmentedSet, table: &KernelTable) -> usize {
+    let planner = IntersectPlanner::current();
+    if matches!(
+        planner.mode,
+        PlanMode::Plain | PlanMode::Pipelined | PlanMode::Pruned
+    ) {
+        fesia_obs::metrics().plan_forced.inc();
+    }
+    let plan = planner.plan_merge(&SetSummary::of(a), &SetSummary::of(b));
+    execute_plan_count(a, b, table, plan)
+}
+
+/// Execute an explicit [`IntersectPlan`] on a pair, recording the per-form
+/// dispatch counters and the `plan_*` decision counters. All plans return
+/// the identical count. A plan the pair cannot run degrades and is
+/// recorded as what ran: `Compressed` without packed tiers runs
+/// `Pipelined`, `Container` without directories runs `Plain`.
+pub fn execute_plan_count(
+    a: &SegmentedSet,
+    b: &SegmentedSet,
+    table: &KernelTable,
+    plan: IntersectPlan,
+) -> usize {
+    count_route(a, b, table, route(a, b, plan, MaskOp::And, true))
 }
 
 // ---------------------------------------------------------------------------
@@ -995,8 +1075,7 @@ pub fn intersect_count_compressed_with(
 /// collide onto one bit via `h mod m`, so a raw popcount could
 /// under-count and wrongly reject.
 pub fn summary_overlap_bound(a: &SegmentedSet, b: &SegmentedSet, threshold: usize) -> Option<u64> {
-    check_compatible(a, b);
-    let (x, y, _) = order_sides(a, b);
+    let Sides { x, y, .. } = Sides::of(default_table(), a, b);
     summary_min_bound(
         x.summary_words(),
         y.summary_words(),
@@ -1052,17 +1131,7 @@ pub fn intersect_count_bounded_planned(
     planner: &IntersectPlanner,
     threshold: usize,
 ) -> Option<usize> {
-    let (sa, sb) = (SetSummary::of(a), SetSummary::of(b));
-    match planner.plan_pair_threshold(&sa, &sb, threshold) {
-        ThresholdPlan::TrivialAccept => {
-            Some(execute_plan_count(a, b, table, planner.plan_pair(&sa, &sb)))
-        }
-        ThresholdPlan::TrivialReject => None,
-        ThresholdPlan::Run(plan) => {
-            execute_plan_count_bounded(a, b, table, plan, threshold as u64, false)
-                .map(|n| n as usize)
-        }
-    }
+    threshold_planned(a, b, table, planner, threshold, false)
 }
 
 /// [`intersect_count_at_least`] against an explicit table and planner
@@ -1074,233 +1143,7 @@ pub fn intersect_count_at_least_planned(
     planner: &IntersectPlanner,
     threshold: usize,
 ) -> bool {
-    let (sa, sb) = (SetSummary::of(a), SetSummary::of(b));
-    match planner.plan_pair_threshold(&sa, &sb, threshold) {
-        ThresholdPlan::TrivialAccept => true,
-        ThresholdPlan::TrivialReject => false,
-        ThresholdPlan::Run(plan) => {
-            execute_plan_count_bounded(a, b, table, plan, threshold as u64, true).is_some()
-        }
-    }
-}
-
-/// Execute an [`IntersectPlan`] with threshold-aware early exit.
-///
-/// `Some(count)` means the threshold was met (`count` is the exact
-/// intersection size unless `accept_early`, in which case it is merely
-/// `>= threshold`); `None` means |A ∩ B| < `threshold`, established with
-/// as little of the sweep as the residual bound allowed. Every plan
-/// shape short-circuits: the merge family via the per-survivor budget,
-/// the container plan via per-range cardinalities, and the probe family
-/// via the remaining-element count.
-fn execute_plan_count_bounded(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    plan: IntersectPlan,
-    threshold: u64,
-    accept_early: bool,
-) -> Option<u64> {
-    let m = fesia_obs::metrics();
-    match plan {
-        IntersectPlan::Plain => {
-            m.plan_plain.inc();
-            bounded_merge(a, b, table, false, 0, threshold, accept_early)
-        }
-        IntersectPlan::Pipelined { prefetch_distance } => {
-            m.plan_pipelined.inc();
-            bounded_merge(
-                a,
-                b,
-                table,
-                false,
-                prefetch_distance,
-                threshold,
-                accept_early,
-            )
-        }
-        IntersectPlan::Pruned { prefetch_distance } => {
-            m.plan_pruned.inc();
-            bounded_merge(
-                a,
-                b,
-                table,
-                true,
-                prefetch_distance,
-                threshold,
-                accept_early,
-            )
-        }
-        IntersectPlan::Compressed { prefetch_distance } => {
-            m.plan_compressed.inc();
-            // As in `execute_plan_count`: an explicit plan on tier-less
-            // sets falls back rather than failing.
-            if a.packed().is_none() || b.packed().is_none() {
-                return bounded_merge(
-                    a,
-                    b,
-                    table,
-                    false,
-                    prefetch_distance,
-                    threshold,
-                    accept_early,
-                );
-            }
-            bounded_compressed(a, b, table, prefetch_distance, threshold, accept_early)
-        }
-        IntersectPlan::Container => {
-            m.plan_container.inc();
-            let (Some(ca), Some(cb)) = (a.container(), b.container()) else {
-                return bounded_merge(a, b, table, false, 0, threshold, accept_early);
-            };
-            crate::container::and_total_bounded(ca, cb, table.level(), threshold, accept_early)
-        }
-        IntersectPlan::HashProbe => {
-            m.plan_hash.inc();
-            let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-            bounded_probe(
-                small.reordered_elements().iter().copied(),
-                small.len(),
-                |x| large.contains(x),
-                threshold,
-                accept_early,
-            )
-        }
-        IntersectPlan::GallopFallback => {
-            m.plan_gallop.inc();
-            bounded_gallop(a, b, threshold, accept_early)
-        }
-    }
-}
-
-/// Merge-family early exit. Phase 1 collects survivors and their total
-/// budget `Σ min(|seg_x|, |seg_y|)` — a sound bound because a zero AND
-/// lane implies an empty segment intersection, so only survivors can
-/// contribute, each at most its smaller side's population. A budget
-/// already below the threshold rejects with zero segment compares.
-/// Phase 2 sweeps under the invariant `count + budget >= threshold`,
-/// aborting the moment it breaks; the budget is zero when the sweep
-/// completes, so completion itself proves `count >= threshold`.
-fn bounded_merge(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    pruned: bool,
-    prefetch_distance: usize,
-    threshold: u64,
-    accept_early: bool,
-) -> Option<u64> {
-    check_compatible(a, b);
-    let m = fesia_obs::metrics();
-    let (x, y, folded) = order_sides(a, b);
-    let seg_mask = y.num_segments() - 1;
-    PIPELINE_SCRATCH.with(|s| {
-        let mut scratch = s.borrow_mut();
-        if scratch.capacity() != 0 {
-            m.scratch_reused.inc();
-        }
-        scratch.clear();
-        let mut budget = 0u64;
-        let stats = {
-            let scratch = &mut *scratch;
-            scan_survivors(table.level(), a.lane(), x, y, folded, pruned, |i| {
-                if scratch.len() < prefetch_distance {
-                    prefetch_read(x.seg_ptr(i));
-                    prefetch_read(y.seg_ptr(i & seg_mask));
-                }
-                budget += x.seg_size(i).min(y.seg_size(i & seg_mask)) as u64;
-                scratch.push(i as u32);
-            })
-        };
-        m.survivor_segments.add(scratch.len() as u64);
-        if let Some(st) = stats {
-            m.summary_blocks_skipped.add(st.skipped() as u64);
-        }
-        if budget < threshold {
-            return None;
-        }
-        let mut count = 0u64;
-        for k in 0..scratch.len() {
-            if prefetch_distance != 0 && k + prefetch_distance < scratch.len() {
-                let ahead = scratch[k + prefetch_distance] as usize;
-                prefetch_read(x.seg_ptr(ahead));
-                prefetch_read(y.seg_ptr(ahead & seg_mask));
-            }
-            let i = scratch[k] as usize;
-            let j = i & seg_mask;
-            budget -= x.seg_size(i).min(y.seg_size(j)) as u64;
-            count += u64::from(count_raw_pair(x, y, table, folded, i, j));
-            if accept_early && count >= threshold {
-                return Some(count);
-            }
-            if count + budget < threshold {
-                return None;
-            }
-        }
-        Some(count)
-    })
-}
-
-/// [`bounded_merge`] with the compressed phase 2: identical budget
-/// arithmetic, decode-and-count sweep.
-fn bounded_compressed(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    prefetch_distance: usize,
-    threshold: u64,
-    accept_early: bool,
-) -> Option<u64> {
-    check_compatible(a, b);
-    let m = fesia_obs::metrics();
-    let (x, y, folded) = order_sides(a, b);
-    let px = x.packed().expect("compressed form needs packed tiers");
-    let py = y.packed().expect("compressed form needs packed tiers");
-    let (wx, wy) = (px.width(), py.width());
-    let (xw, yw) = (px.words().as_ptr(), py.words().as_ptr());
-    let seg_mask = y.num_segments() - 1;
-    PIPELINE_SCRATCH.with(|s| {
-        let mut scratch = s.borrow_mut();
-        if scratch.capacity() != 0 {
-            m.scratch_reused.inc();
-        }
-        scratch.clear();
-        let mut budget = 0u64;
-        {
-            let scratch = &mut *scratch;
-            scan_survivors(table.level(), a.lane(), x, y, folded, false, |i| {
-                if scratch.len() < prefetch_distance {
-                    prefetch_packed(x, xw, wx, i);
-                    prefetch_packed(y, yw, wy, i & seg_mask);
-                }
-                budget += x.seg_size(i).min(y.seg_size(i & seg_mask)) as u64;
-                scratch.push(i as u32);
-            });
-        }
-        m.survivor_segments.add(scratch.len() as u64);
-        if budget < threshold {
-            return None;
-        }
-        DECODE_SCRATCH.with(|ds| {
-            let pair = &mut *ds.borrow_mut();
-            let mut sweep =
-                CompressedSweep::new(x, y, table, (&mut pair.0, &mut pair.1), prefetch_distance);
-            let mut count = 0u64;
-            for k in 0..scratch.len() {
-                let i = scratch[k] as usize;
-                let j = i & seg_mask;
-                budget -= x.seg_size(i).min(y.seg_size(j)) as u64;
-                count += u64::from(sweep.count_pair(&scratch, k));
-                if accept_early && count >= threshold {
-                    return Some(count);
-                }
-                if count + budget < threshold {
-                    return None;
-                }
-            }
-            Some(count)
-        })
-    })
+    threshold_planned(a, b, table, planner, threshold, true).is_some()
 }
 
 /// Probe-style early exit shared by the hash and gallop plans: `n`
@@ -1332,8 +1175,13 @@ fn bounded_probe<I: Iterator<Item = u32>, F: FnMut(u32) -> bool>(
     Some(count)
 }
 
-/// Galloping early exit: sorted small side in per-thread scratch (as
-/// [`gallop_count`]), large side probed through [`bounded_probe`].
+/// The galloping sorted-merge fallback under [`bounded_probe`]:
+/// `O(n_large · log n_small)` with no bitmap work at all — only
+/// profitable on tiny pairs, which is why auto mode gates it behind the
+/// calibrated `gallop_max_len` ceiling. Only the search *target* needs to
+/// be sorted, and only the smaller side needs to be the target: it is
+/// copied sorted into reusable per-thread scratch, and the larger side's
+/// elements are probed as stored (hash order).
 fn bounded_gallop(
     a: &SegmentedSet,
     b: &SegmentedSet,
@@ -1446,45 +1294,6 @@ pub fn auto_count_planned(
     execute_plan_count(a, b, table, plan)
 }
 
-thread_local! {
-    /// Reusable sorted-probe target for [`gallop_count`]: the smaller
-    /// side's elements, sorted. Allocated once per thread and grown to
-    /// the largest small-side seen, so steady-state calls allocate
-    /// nothing.
-    static GALLOP_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Galloping sorted-merge fallback: `O(n_large · log n_small)` with no
-/// bitmap work at all — only profitable on tiny pairs, which is why auto
-/// mode gates it behind the calibrated `gallop_max_len` ceiling.
-///
-/// Only the search *target* needs to be sorted, and only the smaller
-/// side needs to be the target: the smaller list is copied sorted into
-/// reusable per-thread scratch, and the larger side's elements are
-/// probed as stored (hash order), each with an independent exponential
-/// search from the front. The seed's version cloned *and sorted both*
-/// full lists on every call; the probe side never needed either.
-pub fn gallop_count(a: &SegmentedSet, b: &SegmentedSet) -> usize {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    GALLOP_SCRATCH.with(|s| {
-        let mut scratch = s.borrow_mut();
-        if scratch.capacity() != 0 {
-            fesia_obs::metrics().scratch_reused.inc();
-        }
-        scratch.clear();
-        scratch.extend_from_slice(small.reordered_elements());
-        scratch.sort_unstable();
-        let mut count = 0usize;
-        for &x in large.reordered_elements() {
-            let lo = gallop_find(&scratch, 0, x);
-            if lo < scratch.len() && scratch[lo] == x {
-                count += 1;
-            }
-        }
-        count
-    })
-}
-
 /// First index `>= from` whose element is `>= x` (exponential search +
 /// binary finish), assuming `hay[from..]` is sorted.
 pub(crate) fn gallop_find(hay: &[u32], from: usize, x: u32) -> usize {
@@ -1513,131 +1322,53 @@ pub struct Breakdown {
     pub matched_segments: usize,
     /// The intersection size.
     pub count: usize,
+    /// Block-level summary statistics, when step 1 ran the pruned scan.
+    pub prune: Option<PruneStats>,
+    /// Decode statistics, when step 2 ran over the packed tiers.
+    pub decode: Option<CompressStats>,
 }
 
-/// Run one intersection with per-phase timing. Phase 1 materializes the
-/// surviving segment list (as Algorithm 1 is written), so its cost is
-/// directly observable; the fused production path
-/// ([`intersect_count_with`]) avoids that buffer.
+/// Run `plan` on one pair with per-phase timing, through the same engine
+/// as [`execute_plan_count`]. Merge-family plans run buffered: step 1
+/// materializes the surviving segment list (as Algorithm 1 is written), so
+/// its cost is observable on its own, and `Plain` sweeps it without
+/// prefetch. Plans with no segment sweep (container, hash probe, gallop)
+/// book their whole cost as step 2 and report no matched segments.
 pub fn intersect_count_breakdown(
     a: &SegmentedSet,
     b: &SegmentedSet,
     table: &KernelTable,
+    plan: IntersectPlan,
 ) -> Breakdown {
-    check_compatible(a, b);
-    let (x, y, folded) = order_sides(a, b);
-
-    let t1 = CycleTimer::start();
-    let mut pairs: Vec<u32> = Vec::new();
-    scan_survivors(table.level(), a.lane(), x, y, folded, false, |i| {
-        pairs.push(i as u32)
-    });
-    let step1_cycles = t1.elapsed_cycles();
-
-    let seg_mask = y.num_segments() - 1;
-    let t2 = CycleTimer::start();
-    let mut count = 0u64;
-    for &i in &pairs {
-        let i = i as usize;
-        count += u64::from(count_raw_pair(x, y, table, folded, i, i & seg_mask));
-    }
-    let step2_cycles = t2.elapsed_cycles();
-
-    Breakdown {
-        step1_cycles,
-        step2_cycles,
-        matched_segments: pairs.len(),
-        count: count as usize,
-    }
-}
-
-/// [`intersect_count_breakdown`] with the summary-pruned phase 1; also
-/// returns the block-level [`PruneStats`]. Used by the `repro prune`
-/// experiment to time step 1 with and without pruning on the same pair.
-pub fn intersect_count_breakdown_pruned(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-) -> (Breakdown, PruneStats) {
-    check_compatible(a, b);
-    let (x, y, folded) = order_sides(a, b);
-
-    let t1 = CycleTimer::start();
-    let mut pairs: Vec<u32> = Vec::new();
-    let stats = scan_survivors(table.level(), a.lane(), x, y, folded, true, |i| {
-        pairs.push(i as u32)
-    })
-    .expect("pruned scan always reports stats");
-    let step1_cycles = t1.elapsed_cycles();
-
-    let seg_mask = y.num_segments() - 1;
-    let t2 = CycleTimer::start();
-    let mut count = 0u64;
-    for &i in &pairs {
-        let i = i as usize;
-        count += u64::from(count_raw_pair(x, y, table, folded, i, i & seg_mask));
-    }
-    let step2_cycles = t2.elapsed_cycles();
-
-    (
-        Breakdown {
-            step1_cycles,
-            step2_cycles,
-            matched_segments: pairs.len(),
-            count: count as usize,
-        },
-        stats,
-    )
-}
-
-/// [`intersect_count_breakdown`] with the compressed step 2; also returns
-/// the decode [`CompressStats`]. Used by the `repro compress` experiment
-/// to time step 2 with and without the packed tier on the same pair.
-/// Both sets must carry a packed tier.
-///
-/// The sweep keeps the production form's software prefetch (the packed
-/// streams are read at random segment offsets, and overlapping those
-/// misses is part of the compressed design, exactly as the summary-pruned
-/// scan's block prefetch is part of its step 1) — so `step2_cycles` here
-/// is the cost of the compressed sweep as shipped, compared against the
-/// plain Algorithm-1 sweep of [`intersect_count_breakdown`].
-pub fn intersect_count_breakdown_compressed(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-) -> (Breakdown, CompressStats) {
-    check_compatible(a, b);
-    let (x, y, folded) = order_sides(a, b);
-
-    let t1 = CycleTimer::start();
-    let mut pairs: Vec<u32> = Vec::new();
-    scan_survivors(table.level(), a.lane(), x, y, folded, false, |i| {
-        pairs.push(i as u32)
-    });
-    let step1_cycles = t1.elapsed_cycles();
-
-    let dist = pipeline_params().prefetch_distance;
-    let t2 = CycleTimer::start();
-    let (count, stats) = DECODE_SCRATCH.with(|ds| {
-        let pair = &mut *ds.borrow_mut();
-        let mut sweep = CompressedSweep::new(x, y, table, (&mut pair.0, &mut pair.1), dist);
-        let mut count = 0u64;
-        for k in 0..pairs.len() {
-            count += u64::from(sweep.count_pair(&pairs, k));
+    let shape = match route(a, b, plan, MaskOp::And, true) {
+        Route::Sweep(shape) => shape,
+        other => {
+            let t = CycleTimer::start();
+            let count = count_route(a, b, table, other);
+            return Breakdown {
+                step1_cycles: 0,
+                step2_cycles: t.elapsed_cycles(),
+                matched_segments: 0,
+                count,
+                prune: None,
+                decode: None,
+            };
         }
-        (count as usize, sweep.stats(pairs.len()))
-    });
-    let step2_cycles = t2.elapsed_cycles();
-
-    (
-        Breakdown {
-            step1_cycles,
-            step2_cycles,
-            matched_segments: pairs.len(),
-            count,
-        },
-        stats,
-    )
+    };
+    let shape = Sweep {
+        buffered: Some(shape.buffered.unwrap_or(0)),
+        timed: true,
+        ..shape
+    };
+    let (count, swept, decode) = count_sweep(a, b, table, shape);
+    Breakdown {
+        step1_cycles: swept.step1_cycles,
+        step2_cycles: swept.step2_cycles,
+        matched_segments: swept.survivors,
+        count,
+        prune: swept.prune,
+        decode,
+    }
 }
 
 #[cfg(test)]
@@ -1749,12 +1480,9 @@ mod tests {
             let a = SegmentedSet::build(av, &p).unwrap();
             let b = SegmentedSet::build(bv, &p).unwrap();
             let want = reference(av, bv).len();
-            assert_eq!(gallop_count(&a, &b), want);
-            assert_eq!(gallop_count(&b, &a), want);
-            assert_eq!(
-                execute_plan_count(&a, &b, default_table(), IntersectPlan::GallopFallback),
-                want
-            );
+            let gallop = IntersectPlan::GallopFallback;
+            assert_eq!(execute_plan_count(&a, &b, default_table(), gallop), want);
+            assert_eq!(execute_plan_count(&b, &a, default_table(), gallop), want);
         }
     }
 
@@ -1789,11 +1517,49 @@ mod tests {
         let a = SegmentedSet::build(&av, &p).unwrap();
         let b = SegmentedSet::build(&bv, &p).unwrap();
         let table = KernelTable::auto();
-        let bd = intersect_count_breakdown(&a, &b, &table);
+        let bd = intersect_count_breakdown(&a, &b, &table, IntersectPlan::Plain);
         assert_eq!(bd.count, reference(&av, &bv).len());
         assert!(bd.matched_segments >= bd.count);
         // True matches always survive the filter.
         assert!(bd.matched_segments <= a.num_segments());
+
+        // Every merge-family plan, on an equal-bitmap and a folded pair
+        // (both packed, so `Compressed` runs the decode sweep), in both
+        // argument orders: the breakdown counts what the executor counts
+        // and reports exactly the survivors of the offline scan.
+        let folded_small = gen_sorted(300, 5, 1_000_000);
+        let folded_big = gen_sorted(50_000, 11, 1_000_000);
+        let c = SegmentedSet::build(&folded_small, &p).unwrap();
+        let d = SegmentedSet::build(&folded_big, &p).unwrap();
+        assert_ne!(c.bitmap_bits(), d.bitmap_bits());
+        let plans = [
+            IntersectPlan::Plain,
+            IntersectPlan::Pipelined {
+                prefetch_distance: 8,
+            },
+            IntersectPlan::Pruned {
+                prefetch_distance: 8,
+            },
+            IntersectPlan::Compressed {
+                prefetch_distance: 8,
+            },
+        ];
+        for (x, y) in [(&a, &b), (&b, &a), (&c, &d), (&d, &c)] {
+            assert!(x.packed().is_some() && y.packed().is_some());
+            for plan in plans {
+                let bd = intersect_count_breakdown(x, y, &table, plan);
+                assert_eq!(bd.count, execute_plan_count(x, y, &table, plan), "{plan:?}");
+                assert_eq!(
+                    bd.matched_segments,
+                    crate::stats::survivor_segments(x, y),
+                    "{plan:?}"
+                );
+                let pruned = matches!(plan, IntersectPlan::Pruned { .. });
+                let packed = matches!(plan, IntersectPlan::Compressed { .. });
+                assert_eq!(bd.prune.is_some(), pruned, "{plan:?}");
+                assert_eq!(bd.decode.is_some(), packed, "{plan:?}");
+            }
+        }
     }
 
     #[test]
@@ -1861,7 +1627,7 @@ mod tests {
                     want,
                     "level={level} stride={stride} swapped"
                 );
-                let bd = intersect_count_breakdown(&a, &b, &table);
+                let bd = intersect_count_breakdown(&a, &b, &table, IntersectPlan::Plain);
                 assert_eq!(bd.count, want, "breakdown level={level} stride={stride}");
             }
         }
@@ -1890,20 +1656,22 @@ mod tests {
             ),
             (FesiaParams::auto(), vec![], gen_sorted(500, 3, 10_000)),
         ];
-        let mut scratch = Vec::new();
         for (p, av, bv) in &cases {
             let a = SegmentedSet::build(av, p).unwrap();
             let b = SegmentedSet::build(bv, p).unwrap();
-            let want = intersect_count_interleaved_with(&a, &b, &table);
+            let want = execute_plan_count(&a, &b, &table, IntersectPlan::Plain);
             assert_eq!(want, reference(av, bv).len());
             for dist in [0usize, 1, 4, 8, 64] {
+                let plan = IntersectPlan::Pipelined {
+                    prefetch_distance: dist,
+                };
                 assert_eq!(
-                    intersect_count_pipelined_with(&a, &b, &table, &mut scratch, dist),
+                    execute_plan_count(&a, &b, &table, plan),
                     want,
                     "dist={dist}"
                 );
                 assert_eq!(
-                    intersect_count_pipelined_with(&b, &a, &table, &mut scratch, dist),
+                    execute_plan_count(&b, &a, &table, plan),
                     want,
                     "dist={dist} swapped"
                 );
@@ -1921,7 +1689,7 @@ mod tests {
         let b = SegmentedSet::build(&bv, &p).unwrap();
         let table = KernelTable::auto();
         let saved = pipeline_params();
-        let want = intersect_count_interleaved_with(&a, &b, &table);
+        let want = execute_plan_count(&a, &b, &table, IntersectPlan::Plain);
         set_pipeline_params(PipelineParams::default().with_enabled(false));
         assert!(!pipeline_params().enabled);
         assert_eq!(intersect_count_with(&a, &b, &table), want);
@@ -1966,7 +1734,6 @@ mod tests {
             (None, &disjoint_a, &disjoint_b),
             (None, &identical, &identical),
         ];
-        let mut scratch = Vec::new();
         for level in SimdLevel::available_levels() {
             for (bits, av, bv) in &cases {
                 let mut p = FesiaParams::for_level(level);
@@ -1978,22 +1745,21 @@ mod tests {
                 assert!(a.packed().is_some() && b.packed().is_some());
                 for stride in [1usize, 4] {
                     let table = KernelTable::new(level, stride);
-                    let want = intersect_count_interleaved_with(&a, &b, &table);
+                    let want = execute_plan_count(&a, &b, &table, IntersectPlan::Plain);
                     assert_eq!(want, reference(av, bv).len());
                     for dist in [0usize, 8, 64] {
-                        let (got, stats) =
-                            intersect_count_compressed_with(&a, &b, &table, &mut scratch, dist);
-                        assert_eq!(got, want, "level={level} stride={stride} dist={dist}");
-                        assert_eq!(stats.segments_decoded, 2 * scratch.len() as u64);
-                        let (swapped, _) =
-                            intersect_count_compressed_with(&b, &a, &table, &mut scratch, dist);
-                        assert_eq!(swapped, want, "swapped");
-                    }
-                    let (bd, stats) = intersect_count_breakdown_compressed(&a, &b, &table);
-                    assert_eq!(bd.count, want);
-                    assert_eq!(stats.segments_decoded, 2 * bd.matched_segments as u64);
-                    if bd.matched_segments > 0 {
-                        assert!(stats.bytes_saved > 0, "width <= 24 always saves bytes");
+                        let plan = IntersectPlan::Compressed {
+                            prefetch_distance: dist,
+                        };
+                        let bd = intersect_count_breakdown(&a, &b, &table, plan);
+                        assert_eq!(bd.count, want, "level={level} stride={stride} dist={dist}");
+                        let stats = bd.decode.expect("both sides carry packed tiers");
+                        assert_eq!(stats.segments_decoded, 2 * bd.matched_segments as u64);
+                        if bd.matched_segments > 0 {
+                            assert!(stats.bytes_saved > 0, "width <= 24 always saves bytes");
+                        }
+                        assert_eq!(execute_plan_count(&a, &b, &table, plan), want);
+                        assert_eq!(execute_plan_count(&b, &a, &table, plan), want, "swapped");
                     }
                 }
             }
@@ -2002,23 +1768,26 @@ mod tests {
 
     #[test]
     fn compressed_plan_falls_back_without_tiers() {
-        // Below the packing floor no tier is built; an explicit Compressed
-        // plan must still count correctly via the interleaved fallback.
+        // Below the packing floor no tier (and no container directory) is
+        // built; an explicit Compressed or Container plan must still count
+        // correctly, and must run — so record — the fallback plan.
         let p = FesiaParams::auto();
         let a = SegmentedSet::build(&[1, 4, 15, 21, 32, 34], &p).unwrap();
         let b = SegmentedSet::build(&[2, 6, 12, 16, 21, 23], &p).unwrap();
-        assert!(a.packed().is_none());
-        assert_eq!(
-            execute_plan_count(
-                &a,
-                &b,
-                default_table(),
-                IntersectPlan::Compressed {
-                    prefetch_distance: 8
-                }
-            ),
-            1
-        );
+        assert!(a.packed().is_none() && a.container().is_none());
+        let compressed = IntersectPlan::Compressed {
+            prefetch_distance: 8,
+        };
+        for plan in [compressed, IntersectPlan::Container] {
+            assert_eq!(execute_plan_count(&a, &b, default_table(), plan), 1);
+        }
+        let ran = |plan| match route(&a, &b, plan, MaskOp::And, true) {
+            Route::Sweep(shape) => Some((shape.packed, shape.pruned, shape.buffered)),
+            _ => None,
+        };
+        // Pipelined, then Plain.
+        assert_eq!(ran(compressed), Some((false, false, Some(8))));
+        assert_eq!(ran(IntersectPlan::Container), Some((false, false, None)));
     }
 
     #[test]
@@ -2032,7 +1801,7 @@ mod tests {
         assert!(a.packed().is_some() && b.packed().is_some());
         let table = KernelTable::auto();
         let saved = compress_params();
-        let want = intersect_count_interleaved_with(&a, &b, &table);
+        let want = execute_plan_count(&a, &b, &table, IntersectPlan::Plain);
         let before = fesia_obs::metrics().snapshot();
         set_compress_params(CompressParams::default().with_forced(Some(true)));
         assert_eq!(compress_params().forced, Some(true));
@@ -2091,7 +1860,6 @@ mod tests {
             (None, &identical, &identical),
             (None, &[], &random_a),
         ];
-        let mut scratch = Vec::new();
         for level in SimdLevel::available_levels() {
             for lane in [LaneWidth::U8, LaneWidth::U16] {
                 for (bits, av, bv) in &cases {
@@ -2103,24 +1871,27 @@ mod tests {
                     let b = SegmentedSet::build(bv, &p).unwrap();
                     for stride in [1usize, 2, 4, 8] {
                         let table = KernelTable::new(level, stride);
-                        let want = intersect_count_interleaved_with(&a, &b, &table);
+                        let plain = intersect_count_breakdown(&a, &b, &table, IntersectPlan::Plain);
+                        let want = plain.count;
                         assert_eq!(want, reference(av, bv).len());
                         for dist in [0usize, 8] {
-                            let (got, stats) =
-                                intersect_count_pruned_with(&a, &b, &table, &mut scratch, dist);
+                            let plan = IntersectPlan::Pruned {
+                                prefetch_distance: dist,
+                            };
                             assert_eq!(
-                                got, want,
+                                execute_plan_count(&a, &b, &table, plan),
+                                want,
                                 "level={level} lane={lane:?} stride={stride} dist={dist}"
                             );
+                            assert_eq!(execute_plan_count(&b, &a, &table, plan), want);
+                            let bd = intersect_count_breakdown(&a, &b, &table, plan);
+                            assert_eq!(bd.count, want);
+                            // Pruning skips only blocks with no surviving lane.
+                            assert_eq!(bd.matched_segments, plain.matched_segments);
+                            let stats = bd.prune.expect("the pruned scan reports its blocks");
                             assert!(stats.visited <= stats.blocks);
-                            let (swapped, _) =
-                                intersect_count_pruned_with(&b, &a, &table, &mut scratch, dist);
-                            assert_eq!(swapped, want);
+                            assert_eq!(stats.skipped(), stats.blocks - stats.visited);
                         }
-                        let (bd, stats) = intersect_count_breakdown_pruned(&a, &b, &table);
-                        assert_eq!(bd.count, want);
-                        assert_eq!(bd.matched_segments, scratch.len());
-                        assert_eq!(stats.skipped(), stats.blocks - stats.visited);
                     }
                 }
             }
@@ -2138,9 +1909,15 @@ mod tests {
         let a = SegmentedSet::build(&av, &p).unwrap();
         let b = SegmentedSet::build(&bv, &p).unwrap();
         let table = KernelTable::auto();
-        let mut scratch = Vec::new();
-        let (got, stats) = intersect_count_pruned_with(&a, &b, &table, &mut scratch, 8);
-        assert_eq!(got, intersect_count_interleaved_with(&a, &b, &table));
+        let pruned = IntersectPlan::Pruned {
+            prefetch_distance: 8,
+        };
+        let bd = intersect_count_breakdown(&a, &b, &table, pruned);
+        assert_eq!(
+            bd.count,
+            execute_plan_count(&a, &b, &table, IntersectPlan::Plain)
+        );
+        let stats = bd.prune.expect("the pruned scan reports its blocks");
         assert!(
             stats.skipped() > stats.blocks / 4,
             "sparse pair should skip a sizable fraction: {stats:?}"
@@ -2157,7 +1934,7 @@ mod tests {
         let b = SegmentedSet::build(&bv, &p).unwrap();
         let table = KernelTable::auto();
         let saved = prune_params();
-        let want = intersect_count_interleaved_with(&a, &b, &table);
+        let want = execute_plan_count(&a, &b, &table, IntersectPlan::Plain);
         let before = fesia_obs::metrics().snapshot();
         set_prune_params(PruneParams::default().with_forced(Some(true)));
         assert_eq!(prune_params().forced, Some(true));

@@ -26,6 +26,11 @@
 //!   kernels with jump-table dispatch, per ISA and sampling stride.
 //! * [`intersect_count`] / [`intersect()`] — the two-phase online algorithm
 //!   (bitmap filter, then per-segment kernels).
+//! * [`execute_plan_count`] — one explicit [`plan::IntersectPlan`] through
+//!   the single plan engine that every count, threshold
+//!   ([`intersect_count_bounded`], [`intersect_count_at_least`]) and
+//!   materializing entry point shares; [`intersect_count_breakdown`] times
+//!   any plan per phase.
 //! * [`hash_probe_count`] — the hash-style strategy for heavily skewed
 //!   inputs (`FESIAhash`), and [`auto_count`] which picks a strategy from
 //!   the size ratio as §VI prescribes.
@@ -60,7 +65,6 @@ pub mod simjoin;
 pub mod snapshot;
 pub mod stats;
 pub mod tuning;
-pub mod u64set;
 
 pub use algebra::{difference, execute_plan_op, set_op, set_op_count, set_op_planned, union, xor};
 pub use batch::{
@@ -74,14 +78,11 @@ pub use dynamic::{
 pub use error::{BuildError, MAX_ELEMENT};
 pub use intersect::{
     auto_count, auto_count_planned, auto_count_with, compress_params, container_params,
-    execute_plan_count, gallop_count, hash_probe_count, intersect, intersect_count,
-    intersect_count_at_least, intersect_count_at_least_planned, intersect_count_bounded,
-    intersect_count_bounded_planned, intersect_count_breakdown,
-    intersect_count_breakdown_compressed, intersect_count_breakdown_pruned,
-    intersect_count_compressed_with, intersect_count_interleaved_with,
-    intersect_count_pipelined_with, intersect_count_planned, intersect_count_pruned_with,
-    intersect_count_with, pipeline_params, prune_params, set_compress_params, set_container_params,
-    set_pipeline_params, set_prune_params, summary_overlap_bound, Breakdown, CompressStats,
+    execute_plan_count, hash_probe_count, intersect, intersect_count, intersect_count_at_least,
+    intersect_count_at_least_planned, intersect_count_bounded, intersect_count_bounded_planned,
+    intersect_count_breakdown, intersect_count_with, pipeline_params, prune_params,
+    set_compress_params, set_container_params, set_pipeline_params, set_prune_params,
+    summary_overlap_bound, Breakdown, CompressStats,
 };
 pub use kernels::visit::{CountVisitor, EmitVisitor, FnVisitor, SegmentVisitor, SetOp};
 pub use kernels::KernelTable;
@@ -113,7 +114,6 @@ pub use simjoin::{
 pub use snapshot::{SetRef, SetStore, SetVersion, Snapshot, StoreState, EPOCH_SLOTS};
 pub use stats::{bit_collision_rate, filter_stats, survivor_segments, FilterStats, SegmentStats};
 pub use tuning::{calibrate, should_prune, tune, tune_grid, tune_pipeline, TuneResult};
-pub use u64set::{intersect_count64, intersect_count64_with, Fesia64Set};
 
 pub use fesia_simd::mask::{LaneWidth, MaskOp};
 pub use fesia_simd::SimdLevel;

@@ -48,7 +48,8 @@ pub fn par_intersect_count_on(
     );
     let planner = IntersectPlanner::current();
     if num_threads == 1 {
-        return crate::intersect::intersect_count_planned(a, b, table, &planner);
+        let plan = planner.plan_merge(&SetSummary::of(a), &SetSummary::of(b));
+        return crate::intersect::execute_plan_count(a, b, table, plan);
     }
     let (large, small) = if a.bitmap_bits() >= b.bitmap_bits() {
         (a, b)
@@ -371,7 +372,7 @@ mod tests {
         let b = SegmentedSet::build(&bv, &p).unwrap();
         assert_eq!(a.bitmap_bits(), b.bitmap_bits());
         let table = KernelTable::auto();
-        let want = crate::intersect::intersect_count_interleaved_with(&a, &b, &table);
+        let want = crate::intersect::execute_plan_count(&a, &b, &table, IntersectPlan::Plain);
         let saved = prune_params();
         set_prune_params(PruneParams::default().with_forced(Some(true)));
         let before = fesia_obs::metrics().snapshot();

@@ -798,11 +798,11 @@ impl IntersectPlanner {
     /// [`IntersectPlanner::plan_pair`] plus an output-size cost term:
     /// materializing emits (and finally sorts) up to
     /// [`SetOp::max_output`] elements on top of reading both inputs, so
-    /// gallop admission charges the pair for its output, and the AND-only
-    /// step-1 optimizations (summary pruning, the compressed hash-domain
-    /// compare) degrade to the pipelined Or-scan for the non-intersect
-    /// ops, which must visit every segment that is non-empty on either
-    /// side.
+    /// gallop admission charges the pair for its output. The compressed
+    /// hash-domain compare degrades to the pipelined sweep for every op
+    /// (hash residuals cannot be emitted as values), and summary pruning
+    /// degrades to the pipelined Or-scan for the non-intersect ops, which
+    /// must visit every segment that is non-empty on either side.
     pub fn plan_materialize(&self, a: &SetSummary, b: &SetSummary, op: SetOp) -> IntersectPlan {
         match self.mode {
             PlanMode::HashProbe => return IntersectPlan::HashProbe,
@@ -825,20 +825,20 @@ impl IntersectPlanner {
         self.merge_for_op(a, b, op)
     }
 
-    /// Merge-family plan adjusted for the op's step-1 scan: pruning and
-    /// compression are sound only under the AND combiner, so for the
-    /// Or-scan ops those plans fall back to the pipelined sweep (which
-    /// buffers exactly the segments the Or-scan visits). The container
-    /// plan is exempt — its word bitmaps are exact value-domain bitmaps,
-    /// not hashed filters, so it survives for every op.
+    /// Merge-family plan adjusted for a materializing op. The packed tier
+    /// stores hash residuals, which cannot be emitted as values, so
+    /// compression falls back to the pipelined sweep for every op.
+    /// Pruning is sound only under the AND combiner, so for the Or-scan
+    /// ops it falls back the same way (the pipelined sweep buffers exactly
+    /// the segments the Or-scan visits). The container plan is exempt —
+    /// its word bitmaps are exact value-domain bitmaps, not hashed
+    /// filters, so it survives for every op.
     fn merge_for_op(&self, a: &SetSummary, b: &SetSummary, op: SetOp) -> IntersectPlan {
-        let plan = self.plan_merge(a, b);
-        if op == SetOp::Intersect {
-            return plan;
-        }
-        match plan {
-            IntersectPlan::Pruned { prefetch_distance }
-            | IntersectPlan::Compressed { prefetch_distance } => {
+        match self.plan_merge(a, b) {
+            IntersectPlan::Compressed { prefetch_distance } => {
+                IntersectPlan::Pipelined { prefetch_distance }
+            }
+            IntersectPlan::Pruned { prefetch_distance } if op != SetOp::Intersect => {
                 IntersectPlan::Pipelined { prefetch_distance }
             }
             other => other,
@@ -1089,6 +1089,24 @@ mod tests {
                     p.plan_materialize(&sparse, &sparse, op),
                     IntersectPlan::Pipelined { .. }
                 ),
+                "{op:?}"
+            );
+        }
+        // The packed tier stores hash residuals, which cannot be emitted
+        // as values: no op materializes from it, intersection included.
+        let mut c = p;
+        c.compress.forced = Some(true);
+        let packed = SetSummary {
+            packed_width: Some(12),
+            ..sparse
+        };
+        let IntersectPlan::Compressed { prefetch_distance } = c.plan_pair(&packed, &packed) else {
+            panic!("a forced-on packed tier must plan Compressed for counting");
+        };
+        for op in ALL {
+            assert_eq!(
+                c.plan_materialize(&packed, &packed, op),
+                IntersectPlan::Pipelined { prefetch_distance },
                 "{op:?}"
             );
         }

@@ -8,8 +8,10 @@
 //! segment width)` candidates on caller-supplied representative workloads
 //! and returns the fastest configuration.
 
+use crate::intersect::execute_plan_count;
 use crate::kernels::{KernelTable, UnpackJob, OVERREAD};
 use crate::params::{CompressParams, FesiaParams, PipelineParams, PruneParams};
+use crate::plan::IntersectPlan;
 use crate::set::SegmentedSet;
 use fesia_simd::mask::LaneWidth;
 use fesia_simd::timer::CycleTimer;
@@ -128,7 +130,7 @@ pub fn tune_pipeline(
         .collect();
     let reference: Vec<usize> = built
         .iter()
-        .map(|(a, b)| crate::intersect::intersect_count_interleaved_with(a, b, table))
+        .map(|(a, b)| execute_plan_count(a, b, table, IntersectPlan::Plain))
         .collect();
     let measure = |f: &dyn Fn(&SegmentedSet, &SegmentedSet) -> usize| -> u64 {
         let counts: Vec<usize> = built.iter().map(|(a, b)| f(a, b)).collect();
@@ -146,21 +148,12 @@ pub fn tune_pipeline(
         best
     };
     let mut best = PipelineParams::default().with_enabled(false);
-    let mut best_cycles =
-        measure(&|a, b| crate::intersect::intersect_count_interleaved_with(a, b, table));
-    let mut scratch = Vec::new();
+    let mut best_cycles = measure(&|a, b| execute_plan_count(a, b, table, IntersectPlan::Plain));
     for &dist in &PIPELINE_DISTANCE_GRID {
-        let scratch_cell = std::cell::RefCell::new(std::mem::take(&mut scratch));
-        let cycles = measure(&|a, b| {
-            crate::intersect::intersect_count_pipelined_with(
-                a,
-                b,
-                table,
-                &mut scratch_cell.borrow_mut(),
-                dist,
-            )
-        });
-        scratch = scratch_cell.into_inner();
+        let plan = IntersectPlan::Pipelined {
+            prefetch_distance: dist,
+        };
+        let cycles = measure(&|a, b| execute_plan_count(a, b, table, plan));
         if cycles < best_cycles {
             best_cycles = cycles;
             // Tuned on a representative sample, so the size heuristic is
@@ -271,12 +264,18 @@ pub fn calibrate(quick: bool) -> crate::plan::MachineProfile {
     let sparse = FesiaParams::auto().with_bits_per_element(256.0);
     let pa = SegmentedSet::build(&calibration_sample(pn, 7, u32::MAX), &sparse).unwrap();
     let pb = SegmentedSet::build(&calibration_sample(pn, 13, u32::MAX), &sparse).unwrap();
-    let mut scratch = Vec::new();
     let plain = min_cycles(reps, || {
-        crate::intersect::intersect_count_interleaved_with(&pa, &pb, &table)
+        execute_plan_count(&pa, &pb, &table, IntersectPlan::Plain)
     });
     let pruned = min_cycles(reps, || {
-        crate::intersect::intersect_count_pruned_with(&pa, &pb, &table, &mut scratch, 8).0
+        execute_plan_count(
+            &pa,
+            &pb,
+            &table,
+            IntersectPlan::Pruned {
+                prefetch_distance: 8,
+            },
+        )
     });
     if pruned < plain {
         let combined = pa.bitmap_bytes().len() + pb.bitmap_bytes().len();
@@ -292,9 +291,11 @@ pub fn calibrate(quick: bool) -> crate::plan::MachineProfile {
         let sa = SegmentedSet::build(&ga, &params).unwrap();
         let sb = SegmentedSet::build(&gb, &params).unwrap();
         let merge = min_cycles(reps, || {
-            crate::intersect::intersect_count_interleaved_with(&sa, &sb, &table)
+            execute_plan_count(&sa, &sb, &table, IntersectPlan::Plain)
         });
-        let gallop = min_cycles(reps, || crate::intersect::gallop_count(&sa, &sb));
+        let gallop = min_cycles(reps, || {
+            execute_plan_count(&sa, &sb, &table, IntersectPlan::GallopFallback)
+        });
         if gallop < merge {
             ceiling = 2 * n;
         }

@@ -40,7 +40,8 @@ fn main() {
 
     // --- Phase breakdown (what makes FESIA O(n/sqrt(w) + r)) -------------
     let table = KernelTable::auto();
-    let bd = fesia_core::intersect_count_breakdown(&x, &y, &table);
+    let bd =
+        fesia_core::intersect_count_breakdown(&x, &y, &table, fesia_core::IntersectPlan::Plain);
     println!(
         "\nBreakdown: step1 (bitmap AND) = {} cycles, step2 (kernels) = {} cycles",
         bd.step1_cycles, bd.step2_cycles

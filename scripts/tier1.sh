@@ -24,6 +24,14 @@ cargo build --release --features serve
 echo "== tier1: cargo test -q =="
 cargo test -q
 
+echo "== tier1: cargo test -q -p fesia-cli --lib, 5 more runs (parallel temp-dir races) =="
+for run in 1 2 3 4 5; do
+    cargo test -q -p fesia-cli --lib > /dev/null || {
+        echo "tier1: FAIL — fesia-cli unit tests failed on repeat run $run"
+        exit 1
+    }
+done
+
 echo "== tier1: cargo test -q --features serve (feature-gated surfaces) =="
 cargo test -q -p fesia-cli -p fesia-bench --features serve
 

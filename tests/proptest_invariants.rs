@@ -9,7 +9,7 @@
 //! be replayed directly.
 
 use fesia_baselines::Method;
-use fesia_core::{FesiaParams, KernelTable, SegmentedSet, SimdLevel};
+use fesia_core::{FesiaParams, IntersectPlan, KernelTable, SegmentedSet, SimdLevel};
 use fesia_datagen::SplitMix64;
 
 const DOMAIN: u32 = u32::MAX - 16;
@@ -83,17 +83,19 @@ fn fesia_counts_the_reference() {
 #[test]
 fn pipelined_and_interleaved_forms_agree() {
     let table = KernelTable::auto();
-    let mut scratch = Vec::new();
     for seed in 0..CASES {
         let mut rng = SplitMix64::new(0x2500 + seed);
         let (a, b) = overlapping_pair(&mut rng);
         let params = FesiaParams::auto();
         let sa = SegmentedSet::build(&a, &params).unwrap();
         let sb = SegmentedSet::build(&b, &params).unwrap();
-        let want = fesia_core::intersect_count_interleaved_with(&sa, &sb, &table);
+        let want = fesia_core::execute_plan_count(&sa, &sb, &table, IntersectPlan::Plain);
         for dist in [0usize, 2, 8, 32] {
+            let pipelined = IntersectPlan::Pipelined {
+                prefetch_distance: dist,
+            };
             assert_eq!(
-                fesia_core::intersect_count_pipelined_with(&sa, &sb, &table, &mut scratch, dist),
+                fesia_core::execute_plan_count(&sa, &sb, &table, pipelined),
                 want,
                 "seed={seed} dist={dist}"
             );
@@ -226,35 +228,6 @@ fn serialization_round_trips() {
 }
 
 #[test]
-fn u64_sets_count_the_reference() {
-    use fesia_core::{intersect_count64, Fesia64Set};
-    for seed in 0..CASES {
-        let mut rng = SplitMix64::new(0x8000 + seed);
-        let shift = rng.below(33) as u32;
-        let mut gen_u64 = |max_len: u64| -> Vec<u64> {
-            let n = rng.below(max_len) as usize;
-            let mut s = std::collections::BTreeSet::new();
-            while s.len() < n {
-                s.insert(rng.below(5_000_000) << shift);
-            }
-            s.into_iter().collect()
-        };
-        let av = gen_u64(200);
-        let bv = gen_u64(200);
-        let bs: std::collections::HashSet<u64> = bv.iter().copied().collect();
-        let want = av.iter().filter(|x| bs.contains(x)).count();
-        let params = FesiaParams::auto();
-        let sa = Fesia64Set::build(&av, &params).unwrap();
-        let sb = Fesia64Set::build(&bv, &params).unwrap();
-        assert_eq!(
-            intersect_count64(&sa, &sb),
-            want,
-            "seed={seed} shift={shift}"
-        );
-    }
-}
-
-#[test]
 fn extraction_matches_reference_on_all_levels() {
     use fesia_core::kernels::extract::extract_into;
     for seed in 0..CASES {
@@ -289,7 +262,7 @@ fn breakdown_count_matches_fused() {
         let sa = SegmentedSet::build(&a, &params).unwrap();
         let sb = SegmentedSet::build(&b, &params).unwrap();
         let table = KernelTable::auto();
-        let bd = fesia_core::intersect_count_breakdown(&sa, &sb, &table);
+        let bd = fesia_core::intersect_count_breakdown(&sa, &sb, &table, IntersectPlan::Plain);
         assert_eq!(
             bd.count,
             fesia_core::intersect_count_with(&sa, &sb, &table),

@@ -91,7 +91,8 @@ fn bitmap_scan_levels_agree_via_breakdown() {
     let mut survivors = Vec::new();
     for level in SimdLevel::available_levels() {
         let t = KernelTable::new(level, 1);
-        let bd = fesia_core::intersect_count_breakdown(&a, &b, &t);
+        let bd =
+            fesia_core::intersect_count_breakdown(&a, &b, &t, fesia_core::IntersectPlan::Plain);
         assert_eq!(bd.count, 200, "level={level}");
         survivors.push(bd.matched_segments);
     }

@@ -284,11 +284,28 @@ pub fn dynamic_intersect_count(a: &DynamicSet, b: &DynamicSet, table: &KernelTab
     };
 
     // Term 1: base ∩ base, minus pairs killed by either delete list.
+    // Both lists are sorted: walk their union with two pointers so a
+    // value deleted on both sides is subtracted once.
     let mut count = auto_count_planned(&a.base, &b.base, table, &planner);
-    let mut dels: Vec<u32> = a.deleted.iter().chain(&b.deleted).copied().collect();
-    dels.sort_unstable();
-    dels.dedup();
-    for &x in &dels {
+    let (da, db) = (&a.deleted, &b.deleted);
+    let (mut i, mut j) = (0, 0);
+    while i < da.len() || j < db.len() {
+        let x = match (da.get(i), db.get(j)) {
+            (Some(&x), Some(&y)) => {
+                i += usize::from(x <= y);
+                j += usize::from(y <= x);
+                x.min(y)
+            }
+            (Some(&x), None) => {
+                i += 1;
+                x
+            }
+            (None, Some(&y)) => {
+                j += 1;
+                y
+            }
+            (None, None) => unreachable!("loop condition"),
+        };
         if a.base.contains(x) && b.base.contains(x) {
             count -= 1;
         }
@@ -565,6 +582,31 @@ mod tests {
             std::ptr::eq(s.base(), c.base()),
             "clone must share the Arc'd base"
         );
+    }
+
+    #[test]
+    fn deletes_on_both_sides_are_subtracted_once() {
+        let table = KernelTable::auto();
+        let a0: Vec<u32> = (0..3_000).map(|i| i * 2).collect();
+        let b0: Vec<u32> = (0..2_000).map(|i| i * 3).collect();
+        let mut da = DynamicSet::build(&a0, &params()).unwrap();
+        let mut db = DynamicSet::build(&b0, &params()).unwrap();
+        // Interleave common deletes (multiples of 6) with one-sided ones
+        // so the two sorted delete lists share some values, not all.
+        for x in (0..3_000).step_by(6) {
+            da.remove_deferred(x).unwrap();
+            db.remove_deferred(x).unwrap();
+            da.remove_deferred(x + 2).unwrap();
+            db.remove_deferred(x + 3).unwrap();
+        }
+        let live_b: BTreeSet<u32> = db.to_sorted_vec().into_iter().collect();
+        let want = da
+            .to_sorted_vec()
+            .iter()
+            .filter(|x| live_b.contains(x))
+            .count();
+        assert_eq!(dynamic_intersect_count(&da, &db, &table), want);
+        assert_eq!(dynamic_intersect_count(&db, &da, &table), want);
     }
 
     #[test]

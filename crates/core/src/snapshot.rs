@@ -16,13 +16,16 @@
 //!   exhaustion (more than [`EPOCH_SLOTS`] concurrent snapshots), which
 //!   spin-yields and reports its worst case in the
 //!   `snapshot_pin_stall_max_cycles` gauge.
-//! - **Writers** build a new [`StoreState`] (cheap: the per-set
-//!   [`DynamicSet`] versions are `Arc`-shared, only touched entries are
-//!   replaced), publish it with one atomic pointer swap, and push the
-//!   old state onto a limbo list stamped with the pre-bump epoch. A
-//!   retired state is freed only once every active slot has pinned past
-//!   that epoch, so a reader that resolved the old pointer can never
-//!   observe freed memory.
+//! - **Writers** build a new [`StoreState`], publish it with one atomic
+//!   pointer swap, and push the old state onto a limbo list stamped
+//!   with the pre-bump epoch. Building is cheap: the catalog is a
+//!   persistent 64-way radix trie over set ids, and a commit copies
+//!   only the root-to-leaf path of each id it writes (64 pointers per
+//!   level, depth 2 at 4096 ids), leaving every other subtree and every
+//!   untouched [`DynamicSet`] version pointer-shared. A retired state
+//!   is freed only once every active slot has pinned past that epoch,
+//!   so a reader that resolved the old pointer can never observe freed
+//!   memory.
 //!
 //! Why the stale-pin race is safe: a reader loads the global epoch
 //! *before* claiming its slot, so the slot value it stores can lag the
@@ -136,10 +139,57 @@ impl SetVersion {
     }
 }
 
+/// Id bits one trie level resolves.
+const RADIX_BITS: u32 = 6;
+
+/// Children per inner node, slots per leaf.
+const RADIX: usize = 1 << RADIX_BITS;
+
+/// One catalog slot: the published version of one id, if any.
+type Slot = Option<Arc<SetVersion>>;
+
+/// A node of the catalog trie. Published nodes are never mutated: a
+/// commit path-copies (`Arc::make_mut`) the nodes above each id it
+/// touches, so every subtree it did not touch stays pointer-shared with
+/// the previous state.
+#[derive(Clone)]
+enum Node {
+    Inner([Option<Arc<Node>>; RADIX]),
+    Leaf([Slot; RADIX]),
+}
+
+impl Node {
+    /// An empty node at `level` (0 is the leaf level).
+    fn empty(level: u32) -> Node {
+        if level == 0 {
+            Node::Leaf(std::array::from_fn(|_| None))
+        } else {
+            Node::Inner(std::array::from_fn(|_| None))
+        }
+    }
+}
+
+/// The child index of `id` in a node at `level`.
+fn digit(id: u32, level: u32) -> usize {
+    (id >> (RADIX_BITS * level)) as usize & (RADIX - 1)
+}
+
 /// An immutable published catalog: every live set at one instant.
+///
+/// The catalog is a persistent 64-way radix trie over set ids. Leaves
+/// hold 64 slots, inner nodes 64 children, and the trie grows a level
+/// whenever a commit writes an id past its span. A commit copies only
+/// the root-to-leaf path of each id it touches (64 pointers per level,
+/// at most 6 levels for `u32` ids), so its cost follows the ids it
+/// writes, not the catalog size.
 pub struct StoreState {
     version: u64,
-    sets: Vec<Option<Arc<SetVersion>>>,
+    /// One past the highest id any commit has written.
+    slots: usize,
+    /// Inner levels above the leaves: the trie spans ids below
+    /// `RADIX^(height + 1)`.
+    height: u32,
+    root: Option<Arc<Node>>,
 }
 
 impl StoreState {
@@ -150,11 +200,29 @@ impl StoreState {
 
     /// The catalog capacity (slot count, including empty ids).
     pub fn num_slots(&self) -> usize {
-        self.sets.len()
+        self.slots
+    }
+
+    /// True when `id` lies inside the trie's current span.
+    fn spans(&self, id: u32) -> bool {
+        u64::from(id) >> (RADIX_BITS * (self.height + 1)) == 0
     }
 
     fn get_arc(&self, id: u32) -> Option<&Arc<SetVersion>> {
-        self.sets.get(id as usize).and_then(|s| s.as_ref())
+        if !self.spans(id) {
+            return None;
+        }
+        let mut node = self.root.as_deref()?;
+        let mut level = self.height;
+        loop {
+            match node {
+                Node::Inner(children) => {
+                    node = children[digit(id, level)].as_deref()?;
+                    level -= 1;
+                }
+                Node::Leaf(slots) => return slots[digit(id, 0)].as_ref(),
+            }
+        }
     }
 
     /// Resolve one id in this published state. Write transactions use
@@ -162,6 +230,73 @@ impl StoreState {
     /// mutate the clone, publish it.
     pub fn get(&self, id: u32) -> Option<SetRef<'_>> {
         self.get_arc(id).map(|v| SetRef { v })
+    }
+
+    /// Point `id` at `slot`, copying each node on its path that is
+    /// still shared with an earlier state. Clearing an id that holds no
+    /// set allocates nothing.
+    fn set(&mut self, id: u32, slot: Slot) {
+        self.slots = self.slots.max(id as usize + 1);
+        if slot.is_none() && self.get_arc(id).is_none() {
+            return;
+        }
+        while !self.spans(id) {
+            // Grow: the old root becomes child 0 of a new root.
+            self.root = self.root.take().map(|old| {
+                let mut children: [Option<Arc<Node>>; RADIX] = std::array::from_fn(|_| None);
+                children[0] = Some(old);
+                Arc::new(Node::Inner(children))
+            });
+            self.height += 1;
+        }
+        let mut level = self.height;
+        let mut node = self
+            .root
+            .get_or_insert_with(|| Arc::new(Node::empty(level)));
+        loop {
+            match Arc::make_mut(node) {
+                Node::Inner(children) => {
+                    let child = &mut children[digit(id, level)];
+                    level -= 1;
+                    node = child.get_or_insert_with(|| Arc::new(Node::empty(level)));
+                }
+                Node::Leaf(slots) => {
+                    slots[digit(id, 0)] = slot;
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Every published set with its id, in ascending id order.
+    fn for_each<'s>(&'s self, mut f: impl FnMut(u32, &'s SetVersion)) {
+        fn walk<'s, F: FnMut(u32, &'s SetVersion)>(
+            node: &'s Node,
+            base: u32,
+            level: u32,
+            f: &mut F,
+        ) {
+            match node {
+                Node::Inner(children) => {
+                    for (i, child) in children.iter().enumerate() {
+                        if let Some(child) = child {
+                            let base = base | (i as u32) << (RADIX_BITS * level);
+                            walk(child, base, level - 1, f);
+                        }
+                    }
+                }
+                Node::Leaf(slots) => {
+                    for (i, slot) in slots.iter().enumerate() {
+                        if let Some(v) = slot {
+                            f(base | i as u32, v);
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(root) = &self.root {
+            walk(root, 0, self.height, &mut f);
+        }
     }
 }
 
@@ -236,7 +371,9 @@ impl SetStore {
             epochs: EpochDomain::new(),
             state: AtomicPtr::new(Box::into_raw(Box::new(StoreState {
                 version: 0,
-                sets: Vec::new(),
+                slots: 0,
+                height: 0,
+                root: None,
             }))),
             limbo: Mutex::new(Vec::new()),
             write: Mutex::new(()),
@@ -298,15 +435,17 @@ impl SetStore {
         let mut txn: Vec<(u32, Option<DynamicSet>)> = Vec::new();
         f(cur, &mut txn);
         let version = cur.version + 1;
-        let mut sets = cur.sets.clone(); // Arc clones only
+        // Shares the whole trie; `set` path-copies only what it touches.
+        let mut next = StoreState {
+            version,
+            slots: cur.slots,
+            height: cur.height,
+            root: cur.root.clone(),
+        };
         for (id, set) in txn {
-            let idx = id as usize;
-            if idx >= sets.len() {
-                sets.resize(idx + 1, None);
-            }
-            sets[idx] = set.map(|s| Arc::new(SetVersion { set: s, version }));
+            next.set(id, set.map(|s| Arc::new(SetVersion { set: s, version })));
         }
-        let next = Box::into_raw(Box::new(StoreState { version, sets }));
+        let next = Box::into_raw(Box::new(next));
         let old = self.state.swap(next, Ordering::SeqCst);
         let retire_epoch = self.epochs.global.load(Ordering::SeqCst);
         self.limbo.lock().unwrap().push((retire_epoch, old));
@@ -514,9 +653,8 @@ impl<'a> Snapshot<'a> {
         let mut ids: Vec<u32> = Vec::new();
         let mut sets: Vec<ResolvedSet<'_>> = Vec::new();
         let mut lists: Vec<Vec<u32>> = Vec::new();
-        for (id, slot) in self.state.sets.iter().enumerate() {
-            let Some(v) = slot else { continue };
-            ids.push(id as u32);
+        self.state.for_each(|id, v| {
+            ids.push(id);
             if v.set.delta_len() == 0 {
                 sets.push(ResolvedSet::Borrowed(v.set.base()));
             } else {
@@ -527,7 +665,7 @@ impl<'a> Snapshot<'a> {
                 )));
             }
             lists.push(v.set.to_sorted_vec());
-        }
+        });
         let planner = IntersectPlanner::current();
         let mut res =
             simjoin::self_join_with(&sets, &lists, threshold, table, &planner, sp, threads);
@@ -720,6 +858,152 @@ mod tests {
             1,
         );
         assert_eq!(res.pairs, vec![(0, 1)]);
+    }
+
+    /// A delta-free set over a shared base (cheap to publish by the
+    /// thousand).
+    fn shared_set(base: &Arc<SegmentedSet>) -> DynamicSet {
+        DynamicSet::from_base(Arc::clone(base), FesiaParams::auto())
+    }
+
+    fn shared<T>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
+        match (a, b) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Walk two states side by side down `id`'s path. Asserts every
+    /// child and slot off that path is pointer-shared and returns how
+    /// many nodes on the path were copied.
+    fn copied_on_path(old: &StoreState, new: &StoreState, id: u32) -> usize {
+        assert_eq!(
+            old.height, new.height,
+            "a commit inside the span grew the trie"
+        );
+        let (mut a, mut b) = (old.root.as_ref().unwrap(), new.root.as_ref().unwrap());
+        let mut level = new.height;
+        let mut copied = 0;
+        while !Arc::ptr_eq(a, b) {
+            copied += 1;
+            let d = digit(id, level);
+            match (&**a, &**b) {
+                (Node::Inner(ca), Node::Inner(cb)) => {
+                    for i in (0..RADIX).filter(|&i| i != d) {
+                        assert!(shared(&ca[i], &cb[i]), "child {i} at level {level} copied");
+                    }
+                    a = ca[d].as_ref().unwrap();
+                    b = cb[d].as_ref().unwrap();
+                    level -= 1;
+                }
+                (Node::Leaf(sa), Node::Leaf(sb)) => {
+                    for i in (0..RADIX).filter(|&i| i != d) {
+                        assert!(shared(&sa[i], &sb[i]), "slot {i} copied");
+                    }
+                    break;
+                }
+                _ => panic!("trie shapes diverged at level {level}"),
+            }
+        }
+        copied
+    }
+
+    #[test]
+    fn a_commit_copies_only_the_touched_path() {
+        let p = FesiaParams::auto();
+        let base = Arc::new(SegmentedSet::build(&[1, 2, 3], &p).unwrap());
+        let store = SetStore::new();
+        store.update(|_, txn| {
+            for id in 0..5000 {
+                txn.push((id, Some(shared_set(&base))));
+            }
+        });
+        let touch = |id: u32| store.update(|_, txn| txn.push((id, Some(shared_set(&base)))));
+
+        let before = store.pin();
+        touch(4321);
+        let after = store.pin();
+        // 5000 ids span 64^3: root, inner, leaf.
+        assert_eq!(after.state.height, 2);
+        assert_eq!(copied_on_path(before.state, after.state, 4321), 3);
+        assert_eq!(after.num_slots(), 5000);
+        drop((before, after));
+
+        // One far id deepens the trie; a commit still copies one path.
+        touch((1 << 20) - 1);
+        let before = store.pin();
+        touch(4321);
+        let after = store.pin();
+        assert_eq!(after.state.height, 3);
+        assert_eq!(copied_on_path(before.state, after.state, 4321), 4);
+        assert_eq!(after.num_slots(), 1 << 20);
+        assert!(after.get((1 << 20) - 1).is_some());
+        assert!(after.get(5000).is_none());
+    }
+
+    #[test]
+    fn the_catalog_matches_a_btreemap_under_random_publishes_and_deletes() {
+        use std::collections::BTreeMap;
+        let p = FesiaParams::auto();
+        let mut rng = fesia_datagen::SplitMix64::new(0x5e7_5707e);
+        let store = SetStore::new();
+        // id -> the tag its live set carries: every set is {0, tag}.
+        let mut reference: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut slots = 0usize;
+        for step in 1..=400u32 {
+            let mut txn_ref = Vec::new();
+            if step % 100 == 0 {
+                // The top of the id space: the trie's deepest shape.
+                txn_ref.push((u32::MAX - rng.below(3) as u32, Some(step)));
+            }
+            for _ in 0..1 + rng.below(4) {
+                let id = match rng.below(10) {
+                    0 => rng.below(1 << 20) as u32,
+                    _ => rng.below(150) as u32,
+                };
+                let tag = (rng.below(10) >= 3).then_some(step);
+                txn_ref.push((id, tag));
+            }
+            store.update(|_, txn| {
+                for &(id, tag) in &txn_ref {
+                    let set = tag.map(|t| DynamicSet::build(&[0, t], &p).unwrap());
+                    txn.push((id, set));
+                }
+            });
+            for &(id, tag) in &txn_ref {
+                slots = slots.max(id as usize + 1);
+                match tag {
+                    Some(t) => reference.insert(id, t),
+                    None => reference.remove(&id),
+                };
+            }
+
+            let snap = store.pin();
+            assert_eq!(snap.num_slots(), slots);
+            for (&id, &t) in &reference {
+                assert_eq!(snap.get(id).unwrap().set().to_sorted_vec(), vec![0, t]);
+            }
+            for _ in 0..20 {
+                let id = rng.below(1 << 21) as u32;
+                assert_eq!(snap.get(id).is_some(), reference.contains_key(&id));
+            }
+            if step % 40 == 0 {
+                // Every live pair shares element 0, so an overlap-1 join
+                // reports each pair of live ids exactly once.
+                let mut got = snap
+                    .self_join(Threshold::Overlap(1), table(), &SimjoinParams::default(), 1)
+                    .pairs;
+                got.sort_unstable();
+                let ids: Vec<u32> = reference.keys().copied().collect();
+                let expect: Vec<(u32, u32)> = ids
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, &a)| ids[i + 1..].iter().map(move |&b| (a, b)))
+                    .collect();
+                assert_eq!(got, expect, "at step {step}");
+            }
+        }
     }
 
     #[test]

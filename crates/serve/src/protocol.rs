@@ -20,8 +20,8 @@ use fesia_core::{KernelTable, MAX_ELEMENT};
 
 use crate::store::{ServeConfig, ServeStore, WriteOp};
 
-/// Highest accepted set id plus one — a protocol-boundary guard so one
-/// bad line cannot force a catalog slot allocation of arbitrary size.
+/// Highest accepted set id plus one — a protocol-boundary guard that
+/// keeps client-chosen ids inside a bounded id space.
 pub const DEFAULT_MAX_SETS: u32 = 1 << 20;
 
 /// The three id buckets of a `BOOL` command: must / should / not.

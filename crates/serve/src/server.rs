@@ -2,7 +2,7 @@
 //! in the CLI), or a thread-per-connection TCP listener.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 use crate::protocol::Server;
@@ -25,7 +25,11 @@ pub fn serve_lines<R: BufRead, W: Write>(
         if line.eq_ignore_ascii_case("QUIT") {
             break;
         }
-        writeln!(out, "{}", server.handle_line(line))?;
+        // One write per reply: a reply split across writes can sit in
+        // the kernel behind Nagle's algorithm until the peer ACKs.
+        let mut reply = server.handle_line(line);
+        reply.push('\n');
+        out.write_all(reply.as_bytes())?;
         out.flush()?;
     }
     Ok(())
@@ -40,19 +44,25 @@ pub fn serve_tcp(server: Arc<Server>, addr: &str) -> std::io::Result<()> {
     for conn in listener.incoming() {
         let stream = conn?;
         let server = Arc::clone(&server);
-        std::thread::spawn(move || {
-            let reader = BufReader::new(match stream.try_clone() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("fesia-serve: warning: dropping connection: {e}");
-                    return;
-                }
-            });
-            // Client disconnects surface as I/O errors; just drop them.
-            let _ = serve_lines(&server, reader, stream);
-        });
+        std::thread::spawn(move || serve_connection(&server, stream));
     }
     Ok(())
+}
+
+/// Serve one accepted connection until the client quits or drops.
+/// Turns Nagle's algorithm off first: a request/response protocol sends
+/// each reply as soon as it is written, and with Nagle on a reply waits
+/// for the peer's (delayed) ACK of the previous one.
+fn serve_connection(server: &Server, stream: TcpStream) {
+    let reader = match stream.set_nodelay(true).and_then(|()| stream.try_clone()) {
+        Ok(s) => BufReader::new(s),
+        Err(e) => {
+            eprintln!("fesia-serve: warning: dropping connection: {e}");
+            return;
+        }
+    };
+    // Client disconnects surface as I/O errors; just drop them.
+    let _ = serve_lines(server, reader, stream);
 }
 
 #[cfg(test)]
@@ -73,7 +83,6 @@ mod tests {
     #[test]
     fn tcp_clients_share_one_store() {
         use std::io::Write as _;
-        use std::net::TcpStream;
 
         let server = Arc::new(Server::new(ServeConfig::from_env().with_shards(2)));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -81,10 +90,11 @@ mod tests {
         let accept_server = Arc::clone(&server);
         let accept = std::thread::spawn(move || {
             // One connection is enough for the test; real serving uses
-            // serve_tcp's unbounded loop.
+            // serve_tcp's unbounded loop around the same function.
             let (stream, _) = listener.accept().unwrap();
-            let reader = BufReader::new(stream.try_clone().unwrap());
-            serve_lines(&accept_server, reader, stream).unwrap();
+            let probe = stream.try_clone().unwrap();
+            serve_connection(&accept_server, stream);
+            probe
         });
 
         let mut conn = TcpStream::connect(addr).unwrap();
@@ -92,9 +102,11 @@ mod tests {
         let mut replies = BufReader::new(&conn).lines();
         assert_eq!(replies.next().unwrap().unwrap(), "OK");
         assert_eq!(replies.next().unwrap().unwrap(), "1");
-        accept.join().unwrap();
+        let probe = accept.join().unwrap();
 
-        // The write landed in the shared store.
+        // The write landed in the shared store, and the served socket
+        // had Nagle's algorithm off.
         assert_eq!(server.store().read(|v| v.card(5)), 1);
+        assert!(probe.nodelay().unwrap());
     }
 }

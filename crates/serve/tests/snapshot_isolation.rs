@@ -11,8 +11,15 @@
 //! older than the window), and reads of unpublished state (newer than
 //! the window). The whole episode repeats under every forced plan mode,
 //! so each planner-driven execution shape crosses the dynamic read path.
+//!
+//! The harness paces the writer: before each batch it waits until every
+//! reader has finished a read since the previous batch, so each reader
+//! overlaps the whole churn however the scheduler splits 3 readers and
+//! a writer over few cores. Only the test's writer waits; the store
+//! itself never makes writers wait on readers.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use fesia_core::{KernelTable, PlanMode};
 use fesia_serve::{ServeConfig, ServeStore, WriteOp};
@@ -21,6 +28,8 @@ const DATA: u32 = 7;
 const PROBE: u32 = 8;
 const ROUNDS: u64 = 200;
 const READERS: usize = 3;
+/// How long the writer waits for a reader to finish one read.
+const PACE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One writer-vs-readers episode under the plan mode currently forced.
 fn episode(table: &KernelTable) {
@@ -36,9 +45,11 @@ fn episode(table: &KernelTable) {
     // assertion window below.
     let published = AtomicU64::new(0);
     let done = AtomicBool::new(false);
+    // Reads completed by each reader, bumped after every read.
+    let progress: [AtomicU64; READERS] = std::array::from_fn(|_| AtomicU64::new(0));
 
     std::thread::scope(|scope| {
-        for _ in 0..READERS {
+        for progress in &progress {
             let store = &store;
             let published = &published;
             let done = &done;
@@ -65,6 +76,7 @@ fn episode(table: &KernelTable) {
                         v1 + 1
                     );
                     reads += 1;
+                    progress.store(reads, Ordering::Release);
                     if stop {
                         break;
                     }
@@ -77,7 +89,28 @@ fn episode(table: &KernelTable) {
         // Writer: each batch deletes one remaining even and adds two
         // fresh odds — all inside the probe's range — so the count
         // advances by exactly one per published batch.
+        let mut seen = [0u64; READERS];
         for v in 0..ROUNDS as u32 {
+            // Pace: every reader has read since the previous batch.
+            for (r, progress) in progress.iter().enumerate() {
+                let start = Instant::now();
+                loop {
+                    let now = progress.load(Ordering::Acquire);
+                    if now > seen[r] {
+                        seen[r] = now;
+                        break;
+                    }
+                    if start.elapsed() >= PACE_TIMEOUT {
+                        // Stop the other readers so the scope can join.
+                        done.store(true, Ordering::Release);
+                        panic!(
+                            "reader {r} made no read in {PACE_TIMEOUT:?} before batch {v} \
+                             (stuck, or panicked: see its message above)"
+                        );
+                    }
+                    std::thread::yield_now();
+                }
+            }
             store.apply_batch(&[
                 WriteOp::Del {
                     set: DATA,
@@ -93,8 +126,6 @@ fn episode(table: &KernelTable) {
                 },
             ]);
             published.fetch_add(1, Ordering::Release);
-            // Give readers scheduler slots mid-churn, not just after it.
-            std::thread::yield_now();
         }
         done.store(true, Ordering::Release);
     });

@@ -32,6 +32,14 @@ for run in 1 2 3 4 5; do
     }
 done
 
+echo "== tier1: cargo test -q -p fesia-serve --test snapshot_isolation, 5 more runs (reader/writer scheduling) =="
+for run in 1 2 3 4 5; do
+    cargo test -q -p fesia-serve --test snapshot_isolation > /dev/null || {
+        echo "tier1: FAIL — snapshot_isolation failed on repeat run $run"
+        exit 1
+    }
+done
+
 echo "== tier1: cargo test -q --features serve (feature-gated surfaces) =="
 cargo test -q -p fesia-cli -p fesia-bench --features serve
 
